@@ -17,12 +17,10 @@
 use crate::classify::{Class, Classifier};
 use crate::dag::{Dag, NodeId};
 use crate::vertical::{
-    finish, DiscoveryEvent, DiscoveryKind, MiningConfig, MiningOutcome, Session, ValidTracker,
+    finish, DiscoveryEvent, DiscoveryKind, MiningConfig, MiningOutcome, Session,
 };
 use crowd::{CrowdSource, MemberId};
-use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::collections::HashSet;
 
 /// Questions the exhaustive baseline would ask: `sample_size` per valid
@@ -120,6 +118,22 @@ impl MspMonitor {
             false
         });
     }
+
+    /// [`Self::update`] for a single-user [`Session`], logging each newly
+    /// confirmed MSP under `member`.
+    fn update_session(
+        &mut self,
+        dag: &mut Dag<'_>,
+        s: &mut Session<'_>,
+        msp_ids: &mut Vec<NodeId>,
+        member: MemberId,
+    ) {
+        let (known, questions) = (msp_ids.len(), s.ask.questions());
+        self.update(dag, &mut s.cls, questions, &mut s.events, msp_ids);
+        // PANIC-OK: `known` was msp_ids.len() before the update; the
+        // monitor only appends, so the range is in bounds.
+        s.ops.record_msps(questions, member, dag, &msp_ids[known..]);
+    }
 }
 
 /// Runs the horizontal (Apriori-style, levelwise) baseline.
@@ -133,24 +147,8 @@ pub fn run_horizontal<C: CrowdSource>(
     member: MemberId,
     cfg: &MiningConfig,
 ) -> MiningOutcome {
-    let threshold = cfg.threshold.unwrap_or(dag.query().threshold);
     let root = cfg.telemetry.span("mine.horizontal");
-    let tele = root.tele().clone();
-    let mut s = Session {
-        cls: Classifier::new(),
-        rng: StdRng::seed_from_u64(cfg.seed),
-        questions: 0,
-        events: Vec::new(),
-        ops: crate::oplog::OpLog::new(threshold, false),
-        tracker: ValidTracker::new(dag).with_telemetry(tele.clone()),
-        available: true,
-        threshold,
-        cfg,
-        manifest: Default::default(),
-        gave_up: Vec::new(),
-        gave_up_set: HashSet::new(),
-        tele,
-    };
+    let mut s = Session::new(dag, cfg, root.tele().clone());
     let mut monitor = MspMonitor::new();
     let mut msp_ids: Vec<NodeId> = Vec::new();
 
@@ -185,22 +183,13 @@ pub fn run_horizontal<C: CrowdSource>(
                     }
                     continue;
                 }
-                if s.gave_up_set.contains(&id) {
+                if s.ask.gave_up_set().contains(&id) {
                     // the retry policy already gave up on this node
                     continue;
                 }
                 stalled = 0;
                 let sig = s.ask_concrete(dag, crowd, member, id);
-                let known = msp_ids.len();
-                monitor.update(dag, &mut s.cls, s.questions, &mut s.events, &mut msp_ids);
-                // PANIC-OK: `known` was msp_ids.len() before the update;
-                // the monitor only appends, so the range is in bounds.
-                // PANIC-OK: `known` was msp_ids.len() before the update; the
-                // monitor only appends, so the range is in bounds.
-                // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
-                // only appends, so the range is in bounds.
-                s.ops
-                    .record_msps(s.questions, member, dag, &msp_ids[known..]);
+                monitor.update_session(dag, &mut s, &mut msp_ids, member);
                 if sig {
                     Class::Significant
                 } else {
@@ -221,12 +210,7 @@ pub fn run_horizontal<C: CrowdSource>(
         }
     }
     // final sweep for entailed MSPs
-    let known = msp_ids.len();
-    monitor.update(dag, &mut s.cls, s.questions, &mut s.events, &mut msp_ids);
-    // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
-    // only appends, so the range is in bounds.
-    s.ops
-        .record_msps(s.questions, member, dag, &msp_ids[known..]);
+    monitor.update_session(dag, &mut s, &mut msp_ids, member);
     let complete = s.available
         && !s.exhausted_budget()
         && crate::vertical::find_minimal_unclassified(dag, &mut s.cls, &cfg.pool, &HashSet::new())
@@ -242,24 +226,8 @@ pub fn run_naive<C: CrowdSource>(
     member: MemberId,
     cfg: &MiningConfig,
 ) -> MiningOutcome {
-    let threshold = cfg.threshold.unwrap_or(dag.query().threshold);
     let root = cfg.telemetry.span("mine.naive");
-    let tele = root.tele().clone();
-    let mut s = Session {
-        cls: Classifier::new(),
-        rng: StdRng::seed_from_u64(cfg.seed),
-        questions: 0,
-        events: Vec::new(),
-        ops: crate::oplog::OpLog::new(threshold, false),
-        tracker: ValidTracker::new(dag).with_telemetry(tele.clone()),
-        available: true,
-        threshold,
-        cfg,
-        manifest: Default::default(),
-        gave_up: Vec::new(),
-        gave_up_set: HashSet::new(),
-        tele,
-    };
+    let mut s = Session::new(dag, cfg, root.tele().clone());
     let mut monitor = MspMonitor::new();
     let mut msp_ids: Vec<NodeId> = Vec::new();
 
@@ -273,27 +241,16 @@ pub fn run_naive<C: CrowdSource>(
             continue;
         }
         s.ask_concrete(dag, crowd, member, id);
-        let known = msp_ids.len();
-        monitor.update(dag, &mut s.cls, s.questions, &mut s.events, &mut msp_ids);
-        // PANIC-OK: `known` was msp_ids.len() before the update; the
-        // monitor only appends, so the range is in bounds.
-        // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
-        // only appends, so the range is in bounds.
-        s.ops
-            .record_msps(s.questions, member, dag, &msp_ids[known..]);
+        monitor.update_session(dag, &mut s, &mut msp_ids, member);
     }
     // classify leftover non-valid nodes so the MSP sweep can conclude:
     // the naive algorithm only *asks* valid assignments, but entailment
     // over the expanded DAG still applies.
-    let known = msp_ids.len();
-    monitor.update(dag, &mut s.cls, s.questions, &mut s.events, &mut msp_ids);
-    // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
-    // only appends, so the range is in bounds.
-    s.ops
-        .record_msps(s.questions, member, dag, &msp_ids[known..]);
+    monitor.update_session(dag, &mut s, &mut msp_ids, member);
     let all_resolved = {
         let view = dag.view();
-        s.gave_up
+        s.ask
+            .gave_up_set()
             .iter()
             .all(|&id| s.cls.class_frozen(&view, id) != Class::Unknown)
     };

@@ -345,26 +345,6 @@ impl<C: CrowdSource> CrowdSource for CachingCrowd<'_, C> {
     fn advance_clock(&mut self, ticks: u64) {
         self.inner.advance_clock(ticks);
     }
-
-    fn supports_prefetch(&self) -> bool {
-        self.inner.supports_prefetch()
-    }
-
-    fn prefetch(&mut self, batch: &[(MemberId, Question)]) {
-        // cache hits never reach the inner crowd, so speculating on them
-        // would only waste worker time (and be rolled back anyway)
-        let misses: Vec<(MemberId, Question)> = batch
-            .iter()
-            .filter(|(m, q)| match q {
-                Question::Concrete { pattern } => self.cache.get(*m, pattern).is_none(),
-                _ => true,
-            })
-            .cloned()
-            .collect();
-        if !misses.is_empty() {
-            self.inner.prefetch(&misses);
-        }
-    }
 }
 
 /// A thread-safe [`CrowdCache`] for concurrent query execution (batch
@@ -517,24 +497,6 @@ impl<C: CrowdSource> CrowdSource for SharedCachingCrowd<'_, C> {
 
     fn advance_clock(&mut self, ticks: u64) {
         self.inner.advance_clock(ticks);
-    }
-
-    fn supports_prefetch(&self) -> bool {
-        self.inner.supports_prefetch()
-    }
-
-    fn prefetch(&mut self, batch: &[(MemberId, Question)]) {
-        let misses: Vec<(MemberId, Question)> = batch
-            .iter()
-            .filter(|(m, q)| match q {
-                Question::Concrete { pattern } => self.cache.get(*m, pattern).is_none(),
-                _ => true,
-            })
-            .cloned()
-            .collect();
-        if !misses.is_empty() {
-            self.inner.prefetch(&misses);
-        }
     }
 }
 

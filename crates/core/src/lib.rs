@@ -75,8 +75,8 @@ pub use engine::{
     CrowdBinding, ExecuteOptions, Oassis, OassisError, QueryAnswer, QueryOutcome, QueryRequest,
     RuleAnswer,
 };
-pub use manifest::PartialManifest;
-pub use multi::{run_multi, MultiOutcome, QuestionStats};
+pub use manifest::{PartialManifest, QuestionStats};
+pub use multi::{run_multi, MultiOutcome};
 pub use oplog::{AnswerOp, OpLog, OpTap, OpTapHandle, OpVerdict, ReplayOutcome, Watermark};
 pub use rulemine::{run_rules, MinedRule, RuleMiningConfig, RuleOutcome};
 pub use synth::{plant_msps, synthetic_domain, MspDistribution, PlantedOracle, SyntheticDomain};

@@ -21,32 +21,13 @@ use crate::aggregate::{AggVerdict, Aggregator};
 use crate::baselines::MspMonitor;
 use crate::classify::{Class, Classifier};
 use crate::dag::{Dag, NodeId};
-use crate::manifest::{ask_with_retry, PartialManifest};
+use crate::manifest::{Asked, Asker, QuestionStats};
+use crate::oplog::{OpLog, OpVerdict};
 use crate::vertical::{DiscoveryEvent, MiningConfig, MiningOutcome, ValidTracker};
-use crowd::{Answer, CrowdPolicy, CrowdSource, MemberId, Question};
+use crowd::{CrowdSource, MemberId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
-
-/// Question-type bookkeeping (the answer-mix statistics of Section 6.3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QuestionStats {
-    /// Concrete questions answered with a support value.
-    pub concrete: usize,
-    /// Specialization questions answered with a chosen option.
-    pub specialization: usize,
-    /// Specialization questions answered "none of these".
-    pub none_of_these: usize,
-    /// User-guided pruning clicks.
-    pub pruning: usize,
-}
-
-impl QuestionStats {
-    /// Total answered questions.
-    pub fn total(&self) -> usize {
-        self.concrete + self.specialization + self.none_of_these + self.pruning
-    }
-}
 
 /// Outcome of a multi-user run.
 #[derive(Debug)]
@@ -95,55 +76,60 @@ struct MemberState {
     cold: VecDeque<NodeId>,
 }
 
-/// Degradation bookkeeping for the crowd-access policy: timeout/retry
-/// counters plus the nodes some member gave up on after exhausting the
-/// retry budget. A give-up only removes *that member's* vote — another
-/// member (or a later inference) can still classify the node.
-#[derive(Default)]
-struct Degradation {
-    manifest: PartialManifest,
-    gave_up: Vec<NodeId>,
-    gave_up_set: HashSet<NodeId>,
-    /// Give-ups in the current round; a round that only gave up still
-    /// made monotone progress (the member's `answered` set grew), so the
-    /// round loop must not treat it as a fixpoint.
-    gave_up_this_round: usize,
+/// The globally collected knowledge every member's answers feed.
+struct Global<'a, A> {
+    aggregator: &'a A,
+    threshold: f64,
+    answers: HashMap<NodeId, Vec<(MemberId, f64)>>,
+    cls: Classifier,
+    tracker: ValidTracker,
+    events: Vec<DiscoveryEvent>,
+    /// Nodes that became globally significant since the last fan-out.
+    newly_significant: Vec<NodeId>,
+    oplog: OpLog,
+    /// Asks the crowd, counts questions and keeps the degradation record.
+    /// A give-up only removes *that member's* vote — another member (or a
+    /// later inference) can still classify the node.
+    ask: Asker,
 }
 
-impl Degradation {
-    fn record_give_up(&mut self, id: NodeId) {
-        self.gave_up_this_round += 1;
-        if self.gave_up_set.insert(id) {
-            self.gave_up.push(id);
+impl<A: Aggregator> Global<'_, A> {
+    /// Logs `member`'s support for `node` and classifies the node once the
+    /// aggregator decides it.
+    fn record_answer(&mut self, dag: &mut Dag<'_>, node: NodeId, member: MemberId, support: f64) {
+        let questions = self.ask.questions();
+        self.oplog
+            .record(questions, member, node, OpVerdict::Support { support });
+        let entry = self.answers.entry(node).or_default();
+        entry.push((member, support));
+        let verdict = self.aggregator.verdict(entry, self.threshold);
+        if verdict == AggVerdict::Undecided || self.cls.class(dag, node) != Class::Unknown {
+            return;
+        }
+        let sig = verdict == AggVerdict::Significant;
+        if sig {
+            self.cls.mark_significant(dag, node);
+            self.newly_significant.push(node);
+        } else {
+            self.cls.mark_insignificant(dag, node);
+        }
+        if self.tracker.witness(dag, node, sig) {
+            self.events.push(DiscoveryEvent {
+                question: questions,
+                kind: crate::vertical::DiscoveryKind::ValidClassified {
+                    total: self.tracker.total_classified,
+                },
+            });
         }
     }
 }
 
 impl MemberState {
-    fn push_hot(&mut self, id: NodeId) {
-        self.hot.push_back(id);
-    }
-
-    /// Re-queues a popped target at the *front* of the hot queue, so a
-    /// batch-planning pass that had to defer a comparable target replays
-    /// it first on the member's next turn (preserving pop order).
-    fn push_front_hot(&mut self, id: NodeId) {
-        self.hot.push_front(id);
-    }
-
-    fn extend_hot(&mut self, ids: impl IntoIterator<Item = NodeId>) {
-        self.hot.extend(ids);
-    }
-
-    fn extend_cold(&mut self, ids: impl IntoIterator<Item = NodeId>) {
-        self.cold.extend(ids);
-    }
-
-    fn pop(&mut self, hot: bool) -> Option<NodeId> {
+    fn queue(&mut self, hot: bool) -> &mut VecDeque<NodeId> {
         if hot {
-            self.hot.pop_front()
+            &mut self.hot
         } else {
-            self.cold.pop_front()
+            &mut self.cold
         }
     }
 }
@@ -159,18 +145,22 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
     let root = cfg.telemetry.span("mine.multi");
     let tele = root.tele().clone();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut global = Classifier::new();
-    let mut answers: HashMap<NodeId, Vec<(MemberId, f64)>> = HashMap::new();
-    let mut tracker = ValidTracker::new(dag)
-        .with_pool(cfg.pool)
-        .with_telemetry(tele.clone());
-    let mut events: Vec<DiscoveryEvent> = Vec::new();
+    let mut g = Global {
+        aggregator,
+        threshold,
+        answers: HashMap::new(),
+        cls: Classifier::new(),
+        tracker: ValidTracker::new(dag)
+            .with_pool(cfg.pool)
+            .with_telemetry(tele.clone()),
+        events: Vec::new(),
+        newly_significant: Vec::new(),
+        oplog: OpLog::new(threshold, true),
+        ask: Asker::new(cfg.policy),
+    };
     let mut monitor = MspMonitor::new();
     let mut msp_ids: Vec<NodeId> = Vec::new();
-    let mut stats = QuestionStats::default();
-    let mut questions = 0usize;
     let mut rounds = 0usize;
-    let mut oplog = crate::oplog::OpLog::new(threshold, true);
     // ops already handed to cfg.op_tap (a prefix of oplog.ops())
     let mut tap_flushed = 0usize;
     // member of the most recent answered question: MSPs confirmed by the
@@ -178,7 +168,6 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
     // single-member (the canonical merge order then matches recording
     // order exactly).
     let mut last_member = MemberId(0);
-    let mut newly_significant: Vec<NodeId> = Vec::new();
     let mut global_decisions = 0usize;
 
     let roots: VecDeque<NodeId> = dag.roots().iter().copied().collect();
@@ -202,30 +191,16 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         })
         .collect();
     let mut per_member: Vec<usize> = vec![0; members.len()];
-    let speculate = crowd.supports_prefetch();
-    let mut deg = Degradation::default();
 
     'outer: loop {
         let _round = tele.span("round");
         let tele = _round.tele();
-        // Speculative execution against concurrent crowds: predict each
-        // member's next question with a read-only emulation of the round
-        // and hand the batch to the source, which computes the answers on
-        // the worker threads while this coordinator thread is busy with
-        // other members. Predictions are best-effort — the source rolls
-        // back any mismatch — so outcomes are bit-identical either way.
-        if speculate {
-            let batch = predict_round(dag, &global, &members, &rng, cfg, questions);
-            if !batch.is_empty() {
-                tele.count("crowd.prefetch_batches", 1);
-                tele.count("crowd.prefetched_questions", batch.len() as u64);
-                crowd.prefetch(&batch);
-            }
-        }
         let mut asked_this_round = 0usize;
-        deg.gave_up_this_round = 0;
+        // a round that only gave up still made monotone progress (the
+        // member's `answered` set grew), so it is not a fixpoint
+        let give_ups = g.ask.give_ups();
         for mi in 0..members.len() {
-            if cfg.max_questions.is_some_and(|m| questions >= m) {
+            if cfg.max_questions.is_some_and(|m| g.ask.questions() >= m) {
                 break 'outer;
             }
             // PANIC-OK: `mi` ranges over 0..members.len() by construction.
@@ -236,7 +211,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
             let mut planned: Vec<NodeId> = Vec::with_capacity(width);
             if width == 1 {
                 // PANIC-OK: `mi` is in bounds, as above.
-                if let Some(t) = next_target(dag, &mut global, &mut members[mi]) {
+                if let Some(t) = next_target(dag, &mut g.cls, &mut members[mi]) {
                     planned.push(t);
                 }
             } else {
@@ -249,7 +224,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                 let mut deferred: Vec<NodeId> = Vec::new();
                 while planned.len() < width {
                     // PANIC-OK: `mi` is in bounds, as above.
-                    let Some(t) = next_target(dag, &mut global, &mut members[mi]) else {
+                    let Some(t) = next_target(dag, &mut g.cls, &mut members[mi]) else {
                         break;
                     };
                     if planned.iter().any(|&p| dag.leq(p, t) || dag.leq(t, p)) {
@@ -262,7 +237,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                     tele.count("planner.deferred", deferred.len() as u64);
                     for &d in deferred.iter().rev() {
                         // PANIC-OK: `mi` is in bounds, as above.
-                        members[mi].push_front_hot(d);
+                        members[mi].hot.push_front(d);
                     }
                 }
                 if !planned.is_empty() {
@@ -281,7 +256,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                 }
             }
             for target in planned {
-                if cfg.max_questions.is_some_and(|m| questions >= m) {
+                if cfg.max_questions.is_some_and(|m| g.ask.questions() >= m) {
                     break 'outer;
                 }
                 // batch efficiency: an answer landing after an earlier answer
@@ -289,17 +264,16 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                 // (record_answer will ignore it)
                 let redundant = width > 1 && {
                     let view = dag.view();
-                    global.class_frozen(&view, target) != Class::Unknown
+                    g.cls.class_frozen(&view, target) != Class::Unknown
                 };
                 // question-type policy: specialization with configured ratio
-                let mut asked = false;
+                let mut options: Vec<NodeId> = Vec::new();
                 if cfg.specialization_ratio > 0.0 && rng.gen_bool(cfg.specialization_ratio) {
                     let span = dag.ensure_children(target);
-                    let mut options: Vec<NodeId> = Vec::new();
                     for ci in 0..span.1 {
                         // PANIC-OK: `ci` ranges over the span's own length.
                         let c = dag.child_slice(span)[ci as usize];
-                        if global.class(dag, c) == Class::Unknown
+                        if g.cls.class(dag, c) == Class::Unknown
                         // PANIC-OK: `mi` is in bounds, as above.
                         && !members[mi].answered.contains(&c)
                         // PANIC-OK: `mi` is in bounds, as above.
@@ -311,58 +285,20 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                             }
                         }
                     }
-                    if !options.is_empty() {
-                        asked = ask_specialization(
-                            dag,
-                            crowd,
-                            aggregator,
-                            threshold,
-                            &cfg.policy,
-                            &mut deg,
-                            // PANIC-OK: `mi` is in bounds, as above.
-                            &mut members[mi],
-                            &options,
-                            target,
-                            &mut answers,
-                            &mut global,
-                            &mut tracker,
-                            &mut stats,
-                            &mut questions,
-                            &mut events,
-                            &mut newly_significant,
-                            &mut oplog,
-                            tele,
-                        );
-                        if asked {
-                            // the base itself is still unanswered by this
-                            // member - revisit it later
-                            // PANIC-OK: `mi` is in bounds, as above.
-                            members[mi].push_hot(target);
-                        }
-                    }
                 }
-                if !asked {
-                    asked = ask_concrete(
-                        dag,
-                        crowd,
-                        aggregator,
-                        threshold,
-                        &cfg.pool,
-                        &cfg.policy,
-                        &mut deg,
-                        // PANIC-OK: `mi` is in bounds, as above.
-                        &mut members[mi],
-                        target,
-                        &mut answers,
-                        &mut global,
-                        &mut tracker,
-                        &mut stats,
-                        &mut questions,
-                        &mut events,
-                        &mut newly_significant,
-                        &mut oplog,
-                        tele,
-                    );
+                // PANIC-OK: `mi` is in bounds, as above.
+                let m = &mut members[mi];
+                let mut ask = |options: &[NodeId]| {
+                    ask_member(dag, crowd, &mut g, &cfg.pool, m, target, options, tele)
+                };
+                // a specialization question that got no answer falls back
+                // to a concrete one
+                let spec_asked = !options.is_empty() && ask(&options);
+                let asked = spec_asked || ask(&[]);
+                if spec_asked {
+                    // the base itself is still unanswered by this member -
+                    // revisit it later
+                    m.hot.push_back(target);
                 }
                 if asked {
                     // PANIC-OK: per_member was sized to members.len().
@@ -383,9 +319,9 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                     // fan out the children of any node that just became
                     // globally significant to every member's queue (the
                     // QueueManager's frontier maintenance)
-                    let had_transition = global_decisions != global.decisions();
-                    global_decisions = global.decisions();
-                    let newly: Vec<NodeId> = std::mem::take(&mut newly_significant);
+                    let had_transition = global_decisions != g.cls.decisions();
+                    global_decisions = g.cls.decisions();
+                    let newly: Vec<NodeId> = std::mem::take(&mut g.newly_significant);
                     for node in newly {
                         let span = dag.ensure_children(node);
                         // a sticky-Insignificant child would be skipped as a
@@ -395,22 +331,22 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                             .child_slice(span)
                             .iter()
                             .copied()
-                            .filter(|&c| global.cached_queried(c) != Some(Class::Insignificant))
+                            .filter(|&c| g.cls.cached_queried(c) != Some(Class::Insignificant))
                             .collect();
                         for ms in members.iter_mut() {
-                            ms.extend_hot(fresh.iter().copied());
+                            ms.hot.extend(fresh.iter().copied());
                         }
                     }
                     // MSP entailment can only change when a global
                     // classification changed
                     if had_transition {
                         let known = msp_ids.len();
-                        monitor.update(dag, &mut global, questions, &mut events, &mut msp_ids);
+                        let questions = g.ask.questions();
+                        monitor.update(dag, &mut g.cls, questions, &mut g.events, &mut msp_ids);
                         // PANIC-OK: `known` was msp_ids.len() before the update; the
                         // monitor only appends, so the range is in bounds.
-                        // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
-                        // only appends, so the range is in bounds.
-                        oplog.record_msps(questions, last_member, dag, &msp_ids[known..]);
+                        let confirmed = &msp_ids[known..];
+                        g.oplog.record_msps(questions, last_member, dag, confirmed);
                         // TOP k early termination (Section 8 extension)
                         if let Some(k) = dag.query().top_k {
                             if !dag.query().diverse {
@@ -423,12 +359,12 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                     }
                 }
                 if cfg.debug_checks {
-                    if stats.total() != questions {
-                        panic!(
-                        "simulation invariant violated: question stats total {} != questions {questions}",
-                        stats.total()
+                    let questions = g.ask.questions();
+                    let total = g.ask.stats().total();
+                    assert!(
+                        total == questions,
+                        "simulation invariant violated: question stats total {total} != questions {questions}"
                     );
-                    }
                     if let Some(mx) = cfg.max_questions {
                         assert!(
                         questions <= mx,
@@ -436,12 +372,11 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                     );
                     }
                     if let Err(e) =
-                        crate::invariants::check_classification_monotonicity(dag, &global)
+                        crate::invariants::check_classification_monotonicity(dag, &g.cls)
                     {
                         panic!("simulation invariant violated: {e}");
                     }
-                    if let Err(e) = crate::invariants::check_msp_maximality(dag, &global, &msp_ids)
-                    {
+                    if let Err(e) = crate::invariants::check_msp_maximality(dag, &g.cls, &msp_ids) {
                         panic!("simulation invariant violated: {e}");
                     }
                 }
@@ -454,13 +389,13 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         // serving layer's tap — a crash after this point replays the
         // round, a crash before it loses only this round
         if let Some(tap) = &cfg.op_tap {
-            let ops = oplog.ops();
+            let ops = g.oplog.ops();
             if tap_flushed < ops.len() {
                 tap.append(dag, &ops[tap_flushed..]); // PANIC-OK: tap_flushed only ever takes values of ops.len(), which never shrinks.
                 tap_flushed = ops.len();
             }
         }
-        if asked_this_round == 0 && deg.gave_up_this_round == 0 {
+        if asked_this_round == 0 && g.ask.give_ups() == give_ups {
             break;
         }
     }
@@ -469,43 +404,32 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
     // which may generate children that are classified purely by inference;
     // a final monitor sweep then confirms the last MSPs.
     let complete =
-        crate::vertical::find_minimal_unclassified(dag, &mut global, &cfg.pool, &HashSet::new())
+        crate::vertical::find_minimal_unclassified(dag, &mut g.cls, &cfg.pool, &HashSet::new())
             .is_none();
+    let questions = g.ask.questions();
     let known = msp_ids.len();
-    monitor.update(dag, &mut global, questions, &mut events, &mut msp_ids);
+    monitor.update(dag, &mut g.cls, questions, &mut g.events, &mut msp_ids);
     // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
     // only appends, so the range is in bounds.
-    oplog.record_msps(questions, last_member, dag, &msp_ids[known..]);
-    oplog.set_complete(complete);
+    let confirmed = &msp_ids[known..];
+    g.oplog.record_msps(questions, last_member, dag, confirmed);
+    g.oplog.set_complete(complete);
     // final tap flush: the completeness sweep may have confirmed MSPs
     // after the last round boundary
     if let Some(tap) = &cfg.op_tap {
-        let ops = oplog.ops();
+        let ops = g.oplog.ops();
         if tap_flushed < ops.len() {
             tap.append(dag, &ops[tap_flushed..]); // PANIC-OK: tap_flushed only ever takes values of ops.len(), which never shrinks.
         }
     }
-    let manifest = {
-        // frozen sweep: a gave-up node later classified through another
-        // member or by inference is answered, not missing
-        let mut manifest = deg.manifest;
-        let view = dag.view();
-        manifest.unanswered = deg
-            .gave_up
-            .iter()
-            .copied()
-            .filter(|&id| global.class_frozen(&view, id) == Class::Unknown)
-            .map(|id| view.node(id).assignment.clone())
-            .collect();
-        manifest
-    };
+    let manifest = g.ask.manifest(dag, &g.cls);
     let undecided = {
         // frozen sweep: no classification changes past this point, so the
         // count shards over the read-only view
         let view = dag.view();
         let ids: Vec<NodeId> = dag.node_ids().collect();
         cfg.pool
-            .par_map(&ids, |&i| global.class_frozen(&view, i) == Class::Unknown)
+            .par_map(&ids, |&i| g.cls.class_frozen(&view, i) == Class::Unknown)
             .into_iter()
             .filter(|&u| u)
             .count()
@@ -519,21 +443,24 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         .filter(|&&i| dag.node(i).valid)
         .map(|&i| dag.node(i).assignment.clone())
         .collect();
-    let significant_valid = crate::vertical::significant_valid_assignments(dag, &global, &cfg.pool);
-    let total_valid = tracker.len();
+    let significant_valid = crate::vertical::significant_valid_assignments(dag, &g.cls, &cfg.pool);
+    let total_valid = g.tracker.len();
     let valid_mult_nodes = dag
         .node_ids()
         .filter(|&i| dag.node(i).valid && !dag.node(i).assignment.is_base())
         .count();
     if tele.is_enabled() {
-        let (hits, misses) = global.cache_stats();
+        let (hits, misses) = g.cls.cache_stats();
         tele.count("classifier.cache_hits", hits);
         tele.count("classifier.cache_misses", misses);
         let gs = dag.stats();
         tele.count("dag.nodes_created", gs.nodes_created as u64);
         tele.count("dag.nodes_expanded", gs.nodes_expanded as u64);
         tele.count("dag.admits_calls", gs.admits_calls as u64);
-        tele.count("validity.bases_classified", tracker.total_classified as u64);
+        tele.count(
+            "validity.bases_classified",
+            g.tracker.total_classified as u64,
+        );
         for &n in &per_member {
             tele.observe("engine.answers_per_member", n as u64);
         }
@@ -546,181 +473,18 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
             total_valid,
             valid_mult_nodes,
             questions,
-            events,
+            events: g.events,
             gen_stats: dag.stats(),
             nodes_materialized: dag.len(),
             complete,
             manifest,
-            ops: oplog,
+            ops: g.oplog,
         },
-        question_stats: stats,
+        question_stats: g.ask.stats(),
         answers_per_member: per_member,
         undecided,
         rounds,
     }
-}
-
-/// What a read-only emulation of the batch planner could determine.
-struct PeekBatch {
-    /// Predicted question targets, in ask order (an antichain under ≤;
-    /// at most the batch width, empty when the frontier is exhausted).
-    targets: Vec<NodeId>,
-    /// The emulation hit a significant node whose children are not yet
-    /// generated: the real traversal will mutate the DAG there, so any
-    /// *further* target (for this and every later member) cannot be
-    /// predicted. Targets collected before the cut are still valid — the
-    /// real planner pops them before reaching the mutation point, and the
-    /// ask loop asks them first, so they remain a correct chain prefix.
-    cut: bool,
-}
-
-/// Read-only emulation of the batch planner: walks the member's queues
-/// without popping, descends through significant nodes via a *virtual*
-/// descended-set, never generates children, and applies the planner's
-/// antichain rule (a candidate ≤-comparable to an accepted target is
-/// deferred, hence not asked this round). Value-equivalent to the real
-/// traversal whenever the global state does not change before the
-/// member's real turn; any divergence only costs a rolled-back
-/// speculation.
-fn peek_batch(
-    view: &crate::dag::DagView<'_>,
-    global: &Classifier,
-    m: &MemberState,
-    width: usize,
-) -> PeekBatch {
-    let mut targets: Vec<NodeId> = Vec::new();
-    let mut virt_descended: HashSet<NodeId> = HashSet::new();
-    for hot in [true, false] {
-        let queue = if hot { &m.hot } else { &m.cold };
-        let mut extra: Vec<NodeId> = Vec::new();
-        let mut i = 0usize;
-        loop {
-            let id = if i < queue.len() {
-                // PANIC-OK: guarded by `i < queue.len()` just above.
-                queue[i]
-            } else if let Some(&e) = extra.get(i - queue.len()) {
-                e
-            } else {
-                break;
-            };
-            i += 1;
-            match global.class_frozen(view, id) {
-                Class::Insignificant => continue,
-                Class::Significant => {
-                    if !m.descended.contains(&id) && virt_descended.insert(id) {
-                        match view.children_if_generated(id) {
-                            Some(children) => extra.extend_from_slice(children),
-                            None => return PeekBatch { targets, cut: true },
-                        }
-                    }
-                    continue;
-                }
-                Class::Unknown => {}
-            }
-            if m.personal.class_frozen(view, id) == Class::Insignificant {
-                continue;
-            }
-            if m.answered.contains(&id) {
-                continue;
-            }
-            // the planner defers ≤-comparable pops (including duplicate
-            // queue entries — ≤ is reflexive), so they are not asked this
-            // round
-            if targets.iter().any(|&p| view.leq(p, id) || view.leq(id, p)) {
-                continue;
-            }
-            targets.push(id);
-            if targets.len() >= width {
-                return PeekBatch {
-                    targets,
-                    cut: false,
-                };
-            }
-        }
-    }
-    PeekBatch {
-        targets,
-        cut: false,
-    }
-}
-
-/// Predicts the questions the coming round will ask — one per member at
-/// most — by replaying the round's policy against a *clone* of the policy
-/// RNG and frozen classifier reads. The real RNG and all engine state are
-/// untouched; a wrong guess is rolled back by the crowd source.
-fn predict_round(
-    dag: &Dag<'_>,
-    global: &Classifier,
-    members: &[MemberState],
-    policy_rng: &StdRng,
-    cfg: &MiningConfig,
-    questions: usize,
-) -> Vec<(MemberId, Question)> {
-    let view = dag.view();
-    let mut rng = policy_rng.clone();
-    let width = cfg.batch_width.max(1);
-    let mut batch: Vec<(MemberId, Question)> = Vec::new();
-    'members: for m in members {
-        if cfg.max_questions.is_some_and(|mx| questions >= mx) {
-            break;
-        }
-        if !m.active {
-            continue;
-        }
-        let peek = peek_batch(&view, global, m, width);
-        for target in &peek.targets {
-            let target = *target;
-            let mut question: Option<Question> = None;
-            if cfg.specialization_ratio > 0.0 && rng.gen_bool(cfg.specialization_ratio) {
-                match view.children_if_generated(target) {
-                    Some(children) => {
-                        let options: Vec<NodeId> = children
-                            .iter()
-                            .copied()
-                            .filter(|&c| {
-                                global.class_frozen(&view, c) == Class::Unknown
-                                    && !m.answered.contains(&c)
-                                    && m.personal.class_frozen(&view, c) != Class::Insignificant
-                            })
-                            .take(cfg.max_spec_options)
-                            .collect();
-                        if !options.is_empty() {
-                            question = Some(Question::Specialization {
-                                base: view.node(target).assignment.apply(dag.query()),
-                                options: options
-                                    .iter()
-                                    .map(|&o| view.node(o).assignment.apply(dag.query()))
-                                    .collect(),
-                            });
-                        }
-                    }
-                    // the engine will generate these children on the
-                    // member's real turn; the offered options can't be
-                    // predicted (the RNG draw above still mirrors the real
-                    // loop's draw)
-                    None => {
-                        if width == 1 {
-                            continue 'members;
-                        }
-                        // mid-batch the member's remaining chain (and the
-                        // cloned RNG) can no longer stay aligned — stop
-                        // predicting this round
-                        break 'members;
-                    }
-                }
-            }
-            let question = question.unwrap_or_else(|| Question::Concrete {
-                pattern: view.node(target).assignment.apply(dag.query()),
-            });
-            batch.push((m.id, question));
-        }
-        if peek.cut {
-            // past this point the cloned RNG can no longer stay aligned
-            // with the real policy draws — stop predicting this round
-            break;
-        }
-    }
-    batch
 }
 
 /// Finds the member's next question by draining their pending frontier:
@@ -732,7 +496,7 @@ fn predict_round(
 /// answered are skipped on pop.
 fn next_target(dag: &mut Dag<'_>, global: &mut Classifier, m: &mut MemberState) -> Option<NodeId> {
     for hot in [true, false] {
-        while let Some(id) = m.pop(hot) {
+        while let Some(id) = m.queue(hot).pop_front() {
             // Most pops hit a node the crowd already classified — read the
             // sticky verdict straight from the cache and only fall back to
             // the full (stamping) lookup on unqueried nodes. Identical
@@ -757,11 +521,7 @@ fn next_target(dag: &mut Dag<'_>, global: &mut Classifier, m: &mut MemberState) 
                             dag.child_slice(span).iter().copied().filter(|&c| {
                                 global.cached_queried(c) != Some(Class::Insignificant)
                             });
-                        if hot {
-                            m.extend_hot(children);
-                        } else {
-                            m.extend_cold(children);
-                        }
+                        m.queue(hot).extend(children);
                     }
                     continue;
                 }
@@ -779,335 +539,129 @@ fn next_target(dag: &mut Dag<'_>, global: &mut Classifier, m: &mut MemberState) 
     None
 }
 
+/// Asks member `m` about `target` — a specialization question offering
+/// `options` when there are any, else a concrete question — and applies
+/// the answer. Returns whether the member answered.
 #[allow(clippy::too_many_arguments)]
-fn record_answer<A: Aggregator>(
-    dag: &mut Dag<'_>,
-    aggregator: &A,
-    threshold: f64,
-    node: NodeId,
-    member: MemberId,
-    support: f64,
-    answers: &mut HashMap<NodeId, Vec<(MemberId, f64)>>,
-    global: &mut Classifier,
-    tracker: &mut ValidTracker,
-    questions: usize,
-    events: &mut Vec<DiscoveryEvent>,
-    newly_significant: &mut Vec<NodeId>,
-    oplog: &mut crate::oplog::OpLog,
-) {
-    oplog.record(
-        questions,
-        member,
-        node,
-        crate::oplog::OpVerdict::Support { support },
-    );
-    let entry = answers.entry(node).or_default();
-    entry.push((member, support));
-    let verdict = aggregator.verdict(entry, threshold);
-    if verdict == AggVerdict::Undecided || global.class(dag, node) != Class::Unknown {
-        return;
-    }
-    let sig = verdict == AggVerdict::Significant;
-    if sig {
-        global.mark_significant(dag, node);
-        newly_significant.push(node);
-    } else {
-        global.mark_insignificant(dag, node);
-    }
-    if tracker.witness(dag, node, sig) {
-        events.push(DiscoveryEvent {
-            question: questions,
-            kind: crate::vertical::DiscoveryKind::ValidClassified {
-                total: tracker.total_classified,
-            },
-        });
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ask_concrete<C: CrowdSource, A: Aggregator>(
+fn ask_member<C: CrowdSource, A: Aggregator>(
     dag: &mut Dag<'_>,
     crowd: &mut C,
-    aggregator: &A,
-    threshold: f64,
+    g: &mut Global<'_, A>,
     pool: &minipool::Pool,
-    policy: &CrowdPolicy,
-    deg: &mut Degradation,
     m: &mut MemberState,
     target: NodeId,
-    answers: &mut HashMap<NodeId, Vec<(MemberId, f64)>>,
-    global: &mut Classifier,
-    tracker: &mut ValidTracker,
-    stats: &mut QuestionStats,
-    questions: &mut usize,
-    events: &mut Vec<DiscoveryEvent>,
-    newly_significant: &mut Vec<NodeId>,
-    oplog: &mut crate::oplog::OpLog,
+    options: &[NodeId],
     tele: &telemetry::Telemetry,
 ) -> bool {
-    let pattern = dag.node(target).assignment.apply(dag.query());
-    let question = Question::Concrete { pattern };
-    let answer = ask_with_retry(
-        crowd,
-        m.id,
-        &question,
-        policy,
-        &mut deg.manifest.timeouts,
-        &mut deg.manifest.retries,
-        tele,
-    );
-    match answer {
-        Answer::Support { support, more_tip } => {
-            *questions += 1;
-            stats.concrete += 1;
-            tele.count("engine.questions", 1);
-            tele.count("questions.concrete", 1);
-            m.answered.insert(target);
-            if support >= threshold {
-                m.personal.mark_significant(dag, target);
+    let concrete = options.is_empty();
+    let asked = if concrete {
+        g.ask.concrete(dag, crowd, m.id, target, tele)
+    } else {
+        g.ask
+            .specialization(dag, crowd, m.id, target, options, tele)
+    };
+    match asked {
+        Asked::Support {
+            node,
+            support,
+            more_tip,
+        } => {
+            m.answered.insert(node);
+            if support >= g.threshold {
+                m.personal.mark_significant(dag, node);
                 if let Some(tip) = more_tip {
-                    dag.attach_more_tip(target, tip);
+                    dag.attach_more_tip(node, tip);
                 }
                 // personal descent (rule 4): this member may be asked
                 // about the successors — low priority, so quorum work on
                 // the shared frontier runs first
-                let span = dag.ensure_children(target);
-                m.extend_cold(
+                let span = dag.ensure_children(node);
+                m.cold.extend(
                     dag.child_slice(span)
                         .iter()
                         .copied()
-                        .filter(|&c| global.cached_queried(c) != Some(Class::Insignificant)),
+                        .filter(|&c| g.cls.cached_queried(c) != Some(Class::Insignificant)),
                 );
             } else {
-                m.personal.mark_insignificant(dag, target);
+                m.personal.mark_insignificant(dag, node);
             }
-            record_answer(
-                dag,
-                aggregator,
-                threshold,
-                target,
-                m.id,
-                support,
-                answers,
-                global,
-                tracker,
-                *questions,
-                events,
-                newly_significant,
-                oplog,
-            );
-            true
+            g.record_answer(dag, node, m.id, support);
         }
-        Answer::Irrelevant { elem } => {
-            *questions += 1;
-            stats.pruning += 1;
-            tele.count("engine.questions", 1);
-            tele.count("questions.pruning", 1);
-            m.answered.insert(target);
-            oplog.record(
-                *questions,
-                m.id,
-                NodeId::SENTINEL,
-                crate::oplog::OpVerdict::NoAnswer,
-            );
-            m.personal.prune_elem(dag, elem);
-            // The click answers *every* assignment involving the element
-            // (or a specialization) at once for this member — feed those
-            // implicit 0-answers to the aggregator for all materialized
-            // nodes, so pruned cones reach quorum without further
-            // questions (Section 6.2's bulk effect). A node holds a
-            // specialization of `elem` in some slot exactly when `elem`'s
-            // bit is set in that slot's ancestor-closure fingerprint, so
-            // the per-node test is one bit probe per slot.
-            let affected: Vec<NodeId> = {
-                // the per-node probe is a pure read — shard it across the
-                // pool and merge the hits back in node-id order
-                let view = dag.view();
-                let vocab = view.vocab();
-                let space = view.fp_space();
-                let wps = space.words_per_slot();
-                let ebit_word = elem.index() / 64;
-                let ebit_mask = 1u64 << (elem.index() % 64);
-                let ids: Vec<NodeId> = view.node_ids().collect();
-                let hits = pool.par_map(&ids, |&id| {
-                    let words = view.fp_words(id);
-                    let hit_value = (0..space.num_slots()).any(|si| {
-                        // PANIC-OK: fingerprint layout fixes words.len() at
-                        // num_slots * wps with ebit_word < elem_words <= wps.
-                        words[si * wps + ebit_word] & ebit_mask != 0
-                    });
-                    hit_value
-                        || view.node(id).assignment.more().iter().any(|f| {
-                            vocab.elem_leq(elem, f.subject) || vocab.elem_leq(elem, f.object)
-                        })
-                });
-                ids.into_iter()
-                    .zip(hits)
-                    .filter_map(|(id, hit)| hit.then_some(id))
-                    .collect()
-            };
-            for id in affected {
-                if m.answered.insert(id) {
-                    record_answer(
-                        dag,
-                        aggregator,
-                        threshold,
-                        id,
-                        m.id,
-                        0.0,
-                        answers,
-                        global,
-                        tracker,
-                        *questions,
-                        events,
-                        newly_significant,
-                        oplog,
-                    );
-                }
-            }
-            true
-        }
-        Answer::Unavailable => {
-            m.active = false;
-            false
-        }
-        Answer::NoResponse => {
-            // retries exhausted: this member gives up on the target
-            // (another member can still answer it); no question counted
-            m.answered.insert(target);
-            deg.record_give_up(target);
-            false
-        }
-        _ => unreachable!("non-concrete answer to a concrete question"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ask_specialization<C: CrowdSource, A: Aggregator>(
-    dag: &mut Dag<'_>,
-    crowd: &mut C,
-    aggregator: &A,
-    threshold: f64,
-    policy: &CrowdPolicy,
-    deg: &mut Degradation,
-    m: &mut MemberState,
-    options: &[NodeId],
-    base: NodeId,
-    answers: &mut HashMap<NodeId, Vec<(MemberId, f64)>>,
-    global: &mut Classifier,
-    tracker: &mut ValidTracker,
-    stats: &mut QuestionStats,
-    questions: &mut usize,
-    events: &mut Vec<DiscoveryEvent>,
-    newly_significant: &mut Vec<NodeId>,
-    oplog: &mut crate::oplog::OpLog,
-    tele: &telemetry::Telemetry,
-) -> bool {
-    let q = Question::Specialization {
-        base: dag.node(base).assignment.apply(dag.query()),
-        options: options
-            .iter()
-            .map(|&o| dag.node(o).assignment.apply(dag.query()))
-            .collect(),
-    };
-    let answer = ask_with_retry(
-        crowd,
-        m.id,
-        &q,
-        policy,
-        &mut deg.manifest.timeouts,
-        &mut deg.manifest.retries,
-        tele,
-    );
-    match answer {
-        Answer::Specialized { choice, support } => {
-            *questions += 1;
-            stats.specialization += 1;
-            tele.count("engine.questions", 1);
-            tele.count("questions.specialization", 1);
-            // PANIC-OK: callers pass a non-empty options slice and the
-            // clamp keeps any crowd-supplied choice in bounds.
-            let chosen = options[choice.min(options.len() - 1)];
-            m.answered.insert(chosen);
-            if support >= threshold {
-                m.personal.mark_significant(dag, chosen);
-                let span = dag.ensure_children(chosen);
-                m.extend_cold(
-                    dag.child_slice(span)
-                        .iter()
-                        .copied()
-                        .filter(|&c| global.cached_queried(c) != Some(Class::Insignificant)),
-                );
-            } else {
-                m.personal.mark_insignificant(dag, chosen);
-            }
-            record_answer(
-                dag,
-                aggregator,
-                threshold,
-                chosen,
-                m.id,
-                support,
-                answers,
-                global,
-                tracker,
-                *questions,
-                events,
-                newly_significant,
-                oplog,
-            );
-            true
-        }
-        Answer::NoneOfThese => {
-            *questions += 1;
-            stats.none_of_these += 1;
-            tele.count("engine.questions", 1);
-            tele.count("questions.none_of_these", 1);
+        Asked::NoneOfThese => {
             for &o in options {
                 m.answered.insert(o);
                 m.personal.mark_insignificant(dag, o);
-                record_answer(
-                    dag,
-                    aggregator,
-                    threshold,
-                    o,
-                    m.id,
-                    0.0,
-                    answers,
-                    global,
-                    tracker,
-                    *questions,
-                    events,
-                    newly_significant,
-                    oplog,
-                );
+                g.record_answer(dag, o, m.id, 0.0);
             }
-            true
         }
-        Answer::Irrelevant { elem } => {
-            *questions += 1;
-            stats.pruning += 1;
-            tele.count("engine.questions", 1);
-            tele.count("questions.pruning", 1);
-            oplog.record(
-                *questions,
-                m.id,
-                NodeId::SENTINEL,
-                crate::oplog::OpVerdict::NoAnswer,
-            );
+        Asked::Pruned(elem) => {
+            let questions = g.ask.questions();
+            g.oplog
+                .record(questions, m.id, NodeId::SENTINEL, OpVerdict::NoAnswer);
             m.personal.prune_elem(dag, elem);
-            true
+            if concrete {
+                m.answered.insert(target);
+                // The click answers *every* assignment involving the
+                // element (or a specialization) at once for this member —
+                // feed those implicit 0-answers to the aggregator for all
+                // materialized nodes, so pruned cones reach quorum without
+                // further questions (Section 6.2's bulk effect).
+                for id in pruned_cone(dag, pool, elem) {
+                    if m.answered.insert(id) {
+                        g.record_answer(dag, id, m.id, 0.0);
+                    }
+                }
+            }
         }
-        Answer::Unavailable => {
+        Asked::Gone => {
             m.active = false;
-            false
+            return false;
         }
-        // spec timeout: nothing classified, no give-up — the caller falls
-        // back to a concrete probe of the base, whose own give-up path
-        // guarantees progress
-        Answer::NoResponse => false,
-        _ => unreachable!("support answer to a specialization question"),
+        Asked::TimedOut => {
+            // a concrete target this member gave up on (another member can
+            // still answer it); a timed-out specialization question falls
+            // back to a concrete probe of the base
+            if concrete {
+                m.answered.insert(target);
+            }
+            return false;
+        }
     }
+    true
+}
+
+/// The materialized nodes a pruning click on `elem` answers. A node holds
+/// a specialization of `elem` in some slot exactly when `elem`'s bit is
+/// set in that slot's ancestor-closure fingerprint, so the per-node test
+/// is one bit probe per slot. The probe is a pure read, sharded across
+/// the pool and merged back in node-id order.
+fn pruned_cone(dag: &Dag<'_>, pool: &minipool::Pool, elem: ontology::ElemId) -> Vec<NodeId> {
+    let view = dag.view();
+    let vocab = view.vocab();
+    let space = view.fp_space();
+    let wps = space.words_per_slot();
+    let ebit_word = elem.index() / 64;
+    let ebit_mask = 1u64 << (elem.index() % 64);
+    let ids: Vec<NodeId> = view.node_ids().collect();
+    let hits = pool.par_map(&ids, |&id| {
+        let words = view.fp_words(id);
+        let hit_value = (0..space.num_slots()).any(|si| {
+            // PANIC-OK: fingerprint layout fixes words.len() at
+            // num_slots * wps with ebit_word < elem_words <= wps.
+            words[si * wps + ebit_word] & ebit_mask != 0
+        });
+        hit_value
+            || view
+                .node(id)
+                .assignment
+                .more()
+                .iter()
+                .any(|f| vocab.elem_leq(elem, f.subject) || vocab.elem_leq(elem, f.object))
+    });
+    ids.into_iter()
+        .zip(hits)
+        .filter_map(|(id, hit)| hit.then_some(id))
+        .collect()
 }
 
 #[cfg(test)]

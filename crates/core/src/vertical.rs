@@ -15,9 +15,9 @@
 use crate::assignment::Assignment;
 use crate::classify::{Class, Classifier};
 use crate::dag::{Dag, NodeId};
-use crate::manifest::{ask_with_retry, PartialManifest};
+use crate::manifest::{Asked, Asker, PartialManifest};
 use crate::oplog::OpVerdict;
-use crowd::{Answer, CrowdPolicy, CrowdSource, MemberId, Question};
+use crowd::{CrowdPolicy, CrowdSource, MemberId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -445,26 +445,8 @@ pub fn run_vertical<C: CrowdSource>(
     member: MemberId,
     cfg: &MiningConfig,
 ) -> MiningOutcome {
-    let threshold = cfg.threshold.unwrap_or(dag.query().threshold);
     let root = cfg.telemetry.span("mine.vertical");
-    let tele = root.tele().clone();
-    let mut s = Session {
-        cls: Classifier::new(),
-        rng: StdRng::seed_from_u64(cfg.seed),
-        questions: 0,
-        events: Vec::new(),
-        ops: crate::oplog::OpLog::new(threshold, false),
-        tracker: ValidTracker::new(dag)
-            .with_pool(cfg.pool)
-            .with_telemetry(tele.clone()),
-        available: true,
-        threshold,
-        cfg,
-        manifest: PartialManifest::default(),
-        gave_up: Vec::new(),
-        gave_up_set: HashSet::new(),
-        tele,
-    };
+    let mut s = Session::new(dag, cfg, root.tele().clone());
     let mut msp_ids: Vec<NodeId> = Vec::new();
     let mut msp_set: HashSet<NodeId> = HashSet::new();
 
@@ -472,7 +454,8 @@ pub fn run_vertical<C: CrowdSource>(
         if s.exhausted() {
             break;
         }
-        let Some(mut phi) = find_minimal_unclassified(dag, &mut s.cls, &cfg.pool, &s.gave_up_set)
+        let Some(mut phi) =
+            find_minimal_unclassified(dag, &mut s.cls, &cfg.pool, s.ask.gave_up_set())
         else {
             break;
         };
@@ -502,13 +485,13 @@ pub fn run_vertical<C: CrowdSource>(
                 if msp_set.insert(phi) {
                     msp_ids.push(phi);
                     s.events.push(DiscoveryEvent {
-                        question: s.questions,
+                        question: s.ask.questions(),
                         kind: DiscoveryKind::Msp {
                             valid: dag.node(phi).valid,
                         },
                     });
                     s.ops.record(
-                        s.questions,
+                        s.ask.questions(),
                         member,
                         phi,
                         crate::oplog::OpVerdict::Msp {
@@ -542,7 +525,7 @@ pub fn run_vertical<C: CrowdSource>(
             let askable: Vec<NodeId> = unclassified
                 .iter()
                 .copied()
-                .filter(|c| !s.gave_up_set.contains(c))
+                .filter(|c| !s.ask.gave_up_set().contains(c))
                 .collect();
             if askable.is_empty() {
                 // every remaining child timed out past the retry budget:
@@ -558,15 +541,16 @@ pub fn run_vertical<C: CrowdSource>(
                     .take(s.cfg.max_spec_options)
                     .collect();
                 match s.ask_specialization(dag, crowd, member, phi, &options) {
-                    SpecOutcome::Jump(c) => {
-                        phi = c;
+                    // the member chose a significant option: climb to it
+                    Asked::Support { node, support, .. } if support >= s.threshold => {
+                        phi = node;
                         continue;
                     }
-                    SpecOutcome::NoneLeft | SpecOutcome::NoJump => continue,
-                    SpecOutcome::Gone => break 'outer,
+                    Asked::Support { .. } | Asked::NoneOfThese | Asked::Pruned(_) => continue,
+                    Asked::Gone => break 'outer,
                     // fall through to a concrete probe so the give-up
                     // bookkeeping (and thus climb progress) is guaranteed
-                    SpecOutcome::TimedOut => {}
+                    Asked::TimedOut => {}
                 }
             }
             // PANIC-OK: the is_empty check above guarantees an element.
@@ -590,23 +574,11 @@ pub fn run_vertical<C: CrowdSource>(
 
 pub(crate) fn finish(
     dag: &mut Dag<'_>,
-    mut s: Session<'_>,
+    s: Session<'_>,
     msp_ids: Vec<NodeId>,
     complete: bool,
 ) -> MiningOutcome {
-    let mut manifest = std::mem::take(&mut s.manifest);
-    {
-        // frozen sweep: a gave-up node that another answer later
-        // classified by inference is answered, not missing
-        let view = dag.view();
-        manifest.unanswered = s
-            .gave_up
-            .iter()
-            .copied()
-            .filter(|&id| s.cls.class_frozen(&view, id) == Class::Unknown)
-            .map(|id| view.node(id).assignment.clone())
-            .collect();
-    }
+    let manifest = s.ask.manifest(dag, &s.cls);
     let msps: Vec<Assignment> = msp_ids
         .iter()
         .map(|&id| dag.node(id).assignment.clone())
@@ -643,7 +615,7 @@ pub(crate) fn finish(
         significant_valid,
         total_valid,
         valid_mult_nodes,
-        questions: s.questions,
+        questions: s.ask.questions(),
         events: s.events,
         gen_stats: dag.stats(),
         nodes_materialized: dag.len(),
@@ -676,11 +648,10 @@ pub(crate) fn significant_valid_assignments(
         .collect()
 }
 
-/// Shared per-run state: classifier, policy RNG, counters, curve tracker.
+/// Shared per-run state: classifier, policy RNG, asker, curve tracker.
 pub(crate) struct Session<'c> {
     pub cls: Classifier,
     pub rng: StdRng,
-    pub questions: usize,
     pub events: Vec<DiscoveryEvent>,
     /// Answer-operation log: every counted interaction as a replayable
     /// delta (see [`crate::oplog`]).
@@ -689,31 +660,35 @@ pub(crate) struct Session<'c> {
     pub available: bool,
     pub threshold: f64,
     pub cfg: &'c MiningConfig,
-    /// Timeout/retry counters accumulated by the crowd-access policy.
-    pub manifest: PartialManifest,
-    /// Nodes the retry policy gave up on, in first-give-up order.
-    pub gave_up: Vec<NodeId>,
-    pub gave_up_set: HashSet<NodeId>,
+    /// Asks the crowd, counts questions and keeps the degradation record.
+    pub ask: Asker,
     /// Telemetry handle, parented at the engine's root span.
     pub tele: telemetry::Telemetry,
 }
 
-pub(crate) enum SpecOutcome {
-    /// The member chose a significant option; climb to it.
-    Jump(NodeId),
-    /// All options were declared insignificant ("none of these").
-    NoneLeft,
-    /// The member's choice was below the threshold; no climb.
-    NoJump,
-    /// The member left.
-    Gone,
-    /// The member stalled past the retry budget; nothing was classified.
-    TimedOut,
-}
+impl<'c> Session<'c> {
+    pub fn new(dag: &Dag<'_>, cfg: &'c MiningConfig, tele: telemetry::Telemetry) -> Self {
+        let threshold = cfg.threshold.unwrap_or(dag.query().threshold);
+        Session {
+            cls: Classifier::new(),
+            rng: StdRng::seed_from_u64(cfg.seed),
+            events: Vec::new(),
+            ops: crate::oplog::OpLog::new(threshold, false),
+            tracker: ValidTracker::new(dag)
+                .with_pool(cfg.pool)
+                .with_telemetry(tele.clone()),
+            available: true,
+            threshold,
+            cfg,
+            ask: Asker::new(cfg.policy),
+            tele,
+        }
+    }
 
-impl Session<'_> {
     pub fn exhausted_budget(&self) -> bool {
-        self.cfg.max_questions.is_some_and(|m| self.questions >= m)
+        self.cfg
+            .max_questions
+            .is_some_and(|m| self.ask.questions() >= m)
     }
 
     pub fn exhausted(&self) -> bool {
@@ -722,39 +697,11 @@ impl Session<'_> {
 
     fn record_classification_event(&mut self) {
         self.events.push(DiscoveryEvent {
-            question: self.questions,
+            question: self.ask.questions(),
             kind: DiscoveryKind::ValidClassified {
                 total: self.tracker.total_classified,
             },
         });
-    }
-
-    /// Bumps the answered-question counters (`engine.questions` plus one
-    /// per-kind counter matching [`crate::multi::QuestionStats`] naming).
-    fn count_question(&self, kind: &'static str) {
-        self.tele.count("engine.questions", 1);
-        self.tele.count(kind, 1);
-    }
-
-    /// Records that the retry policy gave up on `id` (stays `Unknown`).
-    fn give_up(&mut self, id: NodeId) {
-        if self.gave_up_set.insert(id) {
-            self.gave_up.push(id);
-        }
-    }
-
-    /// Step-level invariant checks, on when `cfg.debug_checks` is set.
-    fn check_step(&self, dag: &Dag<'_>) {
-        if let Err(e) = crate::invariants::check_classification_monotonicity(dag, &self.cls) {
-            panic!("simulation invariant violated: {e}");
-        }
-        if let Some(mx) = self.cfg.max_questions {
-            assert!(
-                self.questions <= mx,
-                "simulation invariant violated: {} questions exceed the budget of {mx}",
-                self.questions
-            );
-        }
     }
 
     /// Asks a concrete question about `id`; returns whether it turned out
@@ -766,70 +713,9 @@ impl Session<'_> {
         member: MemberId,
         id: NodeId,
     ) -> bool {
-        let pattern = dag.node(id).assignment.apply(dag.query());
-        let question = Question::Concrete { pattern };
-        let answer = ask_with_retry(
-            crowd,
-            member,
-            &question,
-            &self.cfg.policy,
-            &mut self.manifest.timeouts,
-            &mut self.manifest.retries,
-            &self.tele,
-        );
-        let sig = match answer {
-            Answer::Support { support, more_tip } => {
-                self.questions += 1;
-                self.count_question("questions.concrete");
-                self.ops
-                    .record(self.questions, member, id, OpVerdict::Support { support });
-                if let Some(tip) = more_tip {
-                    // the *more* button: materialize the extended successor
-                    dag.attach_more_tip(id, tip);
-                }
-                let sig = support >= self.threshold;
-                if sig {
-                    self.cls.mark_significant(dag, id);
-                } else {
-                    self.cls.mark_insignificant(dag, id);
-                }
-                if self.tracker.witness(dag, id, sig) {
-                    self.record_classification_event();
-                }
-                sig
-            }
-            Answer::Irrelevant { elem } => {
-                self.questions += 1;
-                self.count_question("questions.pruning");
-                self.ops.record(
-                    self.questions,
-                    member,
-                    NodeId::SENTINEL,
-                    OpVerdict::Prune { elem },
-                );
-                self.cls.prune_elem(dag, elem);
-                if self.tracker.prune(dag, elem) {
-                    self.record_classification_event();
-                }
-                false
-            }
-            Answer::Unavailable => {
-                self.available = false;
-                false
-            }
-            Answer::NoResponse => {
-                // retries exhausted: give up, leave the pattern Unknown
-                self.give_up(id);
-                false
-            }
-            Answer::Specialized { .. } | Answer::NoneOfThese => {
-                unreachable!("specialization answers to a concrete question")
-            }
-        };
-        if self.cfg.debug_checks {
-            self.check_step(dag);
-        }
-        sig
+        let asked = self.ask.concrete(dag, crowd, member, id, &self.tele);
+        self.apply(dag, member, asked, &[]);
+        matches!(asked, Asked::Support { support, .. } if support >= self.threshold)
     }
 
     /// Asks a specialization question at `base` with the given options.
@@ -840,56 +726,44 @@ impl Session<'_> {
         member: MemberId,
         base: NodeId,
         options: &[NodeId],
-    ) -> SpecOutcome {
-        let q = Question::Specialization {
-            base: dag.node(base).assignment.apply(dag.query()),
-            options: options
-                .iter()
-                .map(|&o| dag.node(o).assignment.apply(dag.query()))
-                .collect(),
-        };
-        let answer = ask_with_retry(
-            crowd,
-            member,
-            &q,
-            &self.cfg.policy,
-            &mut self.manifest.timeouts,
-            &mut self.manifest.retries,
-            &self.tele,
-        );
-        let outcome = match answer {
-            Answer::Specialized { choice, support } => {
-                self.questions += 1;
-                self.count_question("questions.specialization");
-                // PANIC-OK: callers pass a non-empty options slice and
-                // the clamp keeps any crowd-supplied choice in bounds.
-                let chosen = options[choice.min(options.len() - 1)];
-                self.ops.record(
-                    self.questions,
-                    member,
-                    chosen,
-                    OpVerdict::Support { support },
-                );
+    ) -> Asked {
+        let asked = self
+            .ask
+            .specialization(dag, crowd, member, base, options, &self.tele);
+        self.apply(dag, member, asked, options);
+        asked
+    }
+
+    /// Logs the answer's op, classifies what it decides, and advances the
+    /// valid-assignment curve. `options` are the offered options of a
+    /// specialization question (empty for a concrete one).
+    fn apply(&mut self, dag: &mut Dag<'_>, member: MemberId, asked: Asked, options: &[NodeId]) {
+        let questions = self.ask.questions();
+        match asked {
+            Asked::Support {
+                node,
+                support,
+                more_tip,
+            } => {
+                self.ops
+                    .record(questions, member, node, OpVerdict::Support { support });
+                if let Some(tip) = more_tip {
+                    // the *more* button: materialize the extended successor
+                    dag.attach_more_tip(node, tip);
+                }
                 let sig = support >= self.threshold;
                 if sig {
-                    self.cls.mark_significant(dag, chosen);
+                    self.cls.mark_significant(dag, node);
                 } else {
-                    self.cls.mark_insignificant(dag, chosen);
+                    self.cls.mark_insignificant(dag, node);
                 }
-                if self.tracker.witness(dag, chosen, sig) {
+                if self.tracker.witness(dag, node, sig) {
                     self.record_classification_event();
                 }
-                if sig {
-                    SpecOutcome::Jump(chosen)
-                } else {
-                    SpecOutcome::NoJump
-                }
             }
-            Answer::NoneOfThese => {
-                self.questions += 1;
-                self.count_question("questions.none_of_these");
+            Asked::NoneOfThese => {
                 self.ops.record(
-                    self.questions,
+                    questions,
                     member,
                     NodeId::SENTINEL,
                     OpVerdict::NoneOfThese {
@@ -904,13 +778,10 @@ impl Session<'_> {
                 if changed {
                     self.record_classification_event();
                 }
-                SpecOutcome::NoneLeft
             }
-            Answer::Irrelevant { elem } => {
-                self.questions += 1;
-                self.count_question("questions.pruning");
+            Asked::Pruned(elem) => {
                 self.ops.record(
-                    self.questions,
+                    questions,
                     member,
                     NodeId::SENTINEL,
                     OpVerdict::Prune { elem },
@@ -919,21 +790,22 @@ impl Session<'_> {
                 if self.tracker.prune(dag, elem) {
                     self.record_classification_event();
                 }
-                SpecOutcome::NoJump
             }
-            Answer::Unavailable => {
-                self.available = false;
-                SpecOutcome::Gone
-            }
-            // no give-up here: the caller falls back to a concrete probe
-            // of the first option, whose own give-up guarantees progress
-            Answer::NoResponse => SpecOutcome::TimedOut,
-            Answer::Support { .. } => unreachable!("support answer to a specialization question"),
-        };
-        if self.cfg.debug_checks {
-            self.check_step(dag);
+            Asked::Gone => self.available = false,
+            Asked::TimedOut => {}
         }
-        outcome
+        if self.cfg.debug_checks {
+            // step-level invariant checks
+            if let Err(e) = crate::invariants::check_classification_monotonicity(dag, &self.cls) {
+                panic!("simulation invariant violated: {e}");
+            }
+            if let Some(mx) = self.cfg.max_questions {
+                assert!(
+                    questions <= mx,
+                    "simulation invariant violated: {questions} questions exceed the budget of {mx}"
+                );
+            }
+        }
     }
 }
 

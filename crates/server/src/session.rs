@@ -679,24 +679,6 @@ impl CrowdSource for DurableCrowd<'_> {
         self.inner.member_has_profile(member, label)
     }
 
-    fn supports_prefetch(&self) -> bool {
-        self.inner.supports_prefetch()
-    }
-
-    fn prefetch(&mut self, batch: &[(MemberId, Question)]) {
-        let misses: Vec<(MemberId, Question)> = batch
-            .iter()
-            .filter(|(m, q)| match q {
-                Question::Concrete { pattern } => self.cache.get(*m, pattern).is_none(),
-                _ => true,
-            })
-            .cloned()
-            .collect();
-        if !misses.is_empty() {
-            self.inner.prefetch(&misses);
-        }
-    }
-
     fn advance_clock(&mut self, ticks: u64) {
         self.inner.advance_clock(ticks);
     }

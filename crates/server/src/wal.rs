@@ -397,8 +397,9 @@ impl SessionWal {
     /// member-prefix property is preserved), answers are last-wins per
     /// pattern — the same state recovery would build from the
     /// uncompacted stream. The snapshot is written to a temp file and
-    /// renamed over the old one, so a crash leaves either the old or
-    /// the new snapshot, never a torn one.
+    /// renamed over the old one, so a process death leaves either the
+    /// old or the new snapshot, never a torn one (neither file nor
+    /// directory is synced).
     pub fn compact(&mut self, member: u32) -> io::Result<()> {
         let (mut ops, mut answers) = (Vec::new(), Vec::new());
         if let Some(snap) = read_snapshot(&self.snap_path(member))? {
@@ -579,9 +580,10 @@ fn collect_member_records(rec: &Json, ops: &mut Vec<Json>, answers: &mut Vec<Jso
 }
 
 impl SessionWal {
-    /// Appends one crc-framed record line to `path`, flushing before
-    /// returning — the record is durable (modulo OS buffering) once the
-    /// call succeeds.
+    /// Appends one crc-framed record line to `path`. Nothing is synced:
+    /// `File::flush` is a no-op, so once the call succeeds the record is
+    /// in the OS page cache — it survives the death of this process, not
+    /// a power loss. Real durability is ROADMAP.md item 2.
     fn append_line(&self, path: &Path, rec: &Json) -> io::Result<()> {
         let mut f = OpenOptions::new().create(true).append(true).open(path)?;
         f.write_all(frame(rec).as_bytes())?;
