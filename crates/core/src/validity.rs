@@ -17,7 +17,6 @@ use ontology::Vocabulary;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Static information about one slot of the assignment DAG.
 #[derive(Debug, Clone)]
@@ -37,13 +36,22 @@ pub struct SlotInfo {
 /// Index over the valid base assignments, answering membership in the
 /// expanded set `𝒜` ([`admits`](ValidityIndex::admits)) and exact validity
 /// ([`is_valid`](ValidityIndex::is_valid)).
+///
+/// The valid tuples are kept once, sorted and deduplicated, in one flat
+/// row-major array; everything else — universes, per-column posting
+/// lists, the lazily built cover bitsets, and the discovery-curve tracker
+/// in [`crate::vertical`] — indexes into it by tuple position.
 #[derive(Debug)]
 pub struct ValidityIndex {
     slots: Vec<SlotInfo>,
     /// Indices (into `slots`) of WHERE-constrained slots.
     constrained: Vec<usize>,
-    /// Valid tuples over the constrained slots (in `constrained` order).
-    tuples: HashSet<Vec<Value>>,
+    /// Valid tuples over the constrained slots (in `constrained` order),
+    /// sorted and deduplicated, `constrained.len()` values per tuple.
+    tuples: Vec<Value>,
+    /// Number of tuples in `tuples` (kept apart: with no constrained slot
+    /// a non-empty base set is one empty tuple).
+    num_tuples: usize,
     /// Per slot: distinct concrete valid values (constrained slots) or all
     /// vocabulary values of the right kind (free slots), sorted.
     universes: Vec<Vec<Value>>,
@@ -51,9 +59,13 @@ pub struct ValidityIndex {
     closures: Vec<Vec<Value>>,
     /// Per slot: the minimal (most general) values of the closure.
     minimals: Vec<Vec<Value>>,
-    /// Tuples in a stable indexed order (same elements as `tuples`).
-    tuple_list: Vec<Vec<Value>>,
-    /// Words per cover bitset: `tuple_list.len().div_ceil(64)`.
+    /// Per constrained column: posting lists in CSR form. The tuples
+    /// holding the value with key `k` in column `ci` are
+    /// `post_tuples[ci][post_start[ci][k]..post_start[ci][k + 1]]`, in
+    /// increasing order.
+    post_start: Vec<Vec<u32>>,
+    post_tuples: Vec<Vec<u32>>,
+    /// Words per cover bitset: `num_tuples.div_ceil(64)`.
     stride: usize,
     /// Number of vocabulary elements — rel keys are offset past them.
     num_elems: usize,
@@ -61,7 +73,7 @@ pub struct ValidityIndex {
     key_space: usize,
     /// Lazily memoized cover bitsets, flattened: `cover_off[ci][key(v)]`
     /// is the block index (×`stride`) into `cover_words` of the bitset
-    /// with bit `t` set iff `v ≤ tuple_list[t][ci]` — the fast path of
+    /// with bit `t` set iff `v ≤ tuple(t)[ci]` — the fast path of
     /// [`Self::admits`]. `u32::MAX` = not built yet; columns allocate
     /// their key table on first use.
     cover_off: RefCell<Vec<Vec<u32>>>,
@@ -75,11 +87,6 @@ pub struct ValidityIndex {
     /// Epoch-stamped scratch for the grouped cover masks (reused across
     /// `admits` calls; node expansion calls `admits` in its inner loop).
     group_scratch: RefCell<GroupScratch>,
-    /// Memoized result of [`Self::valid_base_assignments`]. Both the live
-    /// run's discovery-curve tracker and op-log replay build a
-    /// `ValidTracker` over the same DAG, so the second construction reuses
-    /// the first enumeration instead of re-sorting the tuple set.
-    base_memo: RefCell<Option<Arc<Vec<Assignment>>>>,
 }
 
 /// Tuple-index → rest-projection group id for one multiplicity column.
@@ -117,22 +124,64 @@ impl ValidityIndex {
             })
             .collect();
         let constrained: Vec<usize> = (0..slots.len()).filter(|&i| !slots[i].free).collect();
+        let arity = constrained.len();
 
-        let mut tuples: HashSet<Vec<Value>> = HashSet::new();
+        // project every base onto the constrained slots, then sort and
+        // deduplicate the rows by index (no per-row allocation)
+        let mut rows: Vec<Value> = Vec::with_capacity(base.len() * arity);
+        let mut num_rows = 0usize;
         for b in base {
-            let tuple: Option<Vec<Value>> =
-                constrained.iter().map(|&i| b.get(slots[i].var)).collect();
-            if let Some(t) = tuple {
-                tuples.insert(t);
+            let start = rows.len();
+            rows.extend(constrained.iter().map_while(|&i| b.get(slots[i].var)));
+            if rows.len() - start == arity {
+                num_rows += 1;
+            } else {
+                rows.truncate(start);
             }
         }
+        let row = |r: u32| &rows[r as usize * arity..(r as usize + 1) * arity];
+        let mut order: Vec<u32> = (0..num_rows as u32).collect();
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        order.dedup_by(|a, b| row(*a) == row(*b));
+        let num_tuples = order.len();
+        let tuples: Vec<Value> = order.iter().flat_map(|&r| row(r).iter().copied()).collect();
 
+        let num_elems = vocab.num_elems();
+        let key_space = num_elems + vocab.num_rels();
+        let key_value = |k: usize| {
+            if k < num_elems {
+                Value::Elem(ontology::ElemId(k as u32))
+            } else {
+                Value::Rel(ontology::RelId((k - num_elems) as u32))
+            }
+        };
+        // per-column postings (counting sort by value key); a column's
+        // universe is its keys with a non-empty list, and key order is
+        // `Value` order (elems first, each by id)
         let mut universes: Vec<Vec<Value>> = vec![Vec::new(); slots.len()];
+        let mut post_start: Vec<Vec<u32>> = Vec::with_capacity(arity);
+        let mut post_tuples: Vec<Vec<u32>> = Vec::with_capacity(arity);
         for (ci, &si) in constrained.iter().enumerate() {
-            let mut vals: Vec<Value> = tuples.iter().map(|t| t[ci]).collect();
-            vals.sort_unstable();
-            vals.dedup();
-            universes[si] = vals;
+            let mut start = vec![0u32; key_space + 1];
+            for t in 0..num_tuples {
+                start[value_key(num_elems, tuples[t * arity + ci]) + 1] += 1;
+            }
+            universes[si] = (0..key_space)
+                .filter(|&k| start[k + 1] > 0)
+                .map(key_value)
+                .collect();
+            for k in 0..key_space {
+                start[k + 1] += start[k];
+            }
+            let mut fill = start.clone();
+            let mut list = vec![0u32; num_tuples];
+            for t in 0..num_tuples {
+                let k = value_key(num_elems, tuples[t * arity + ci]);
+                list[fill[k] as usize] = t as u32;
+                fill[k] += 1;
+            }
+            post_start.push(start);
+            post_tuples.push(list);
         }
         for (si, slot) in slots.iter().enumerate() {
             if slot.free {
@@ -158,26 +207,23 @@ impl ValidityIndex {
             })
             .collect();
 
-        let mut tuple_list: Vec<Vec<Value>> = tuples.iter().cloned().collect();
-        tuple_list.sort();
-        let stride = tuple_list.len().div_ceil(64);
-        let cover_off = RefCell::new(vec![Vec::new(); constrained.len()]);
         ValidityIndex {
             slots,
             constrained,
             tuples,
+            num_tuples,
             universes,
             closures,
             minimals,
-            tuple_list,
-            stride,
-            num_elems: vocab.num_elems(),
-            key_space: vocab.num_elems() + vocab.num_rels(),
-            cover_off,
+            post_start,
+            post_tuples,
+            stride: num_tuples.div_ceil(64),
+            num_elems,
+            key_space,
+            cover_off: RefCell::new(vec![Vec::new(); arity]),
             cover_words: RefCell::new(Vec::new()),
             mult_groups: RefCell::new(HashMap::new()),
             group_scratch: RefCell::new(GroupScratch::default()),
-            base_memo: RefCell::new(None),
         }
     }
 
@@ -203,59 +249,63 @@ impl ValidityIndex {
 
     /// Number of valid constrained tuples.
     pub fn num_tuples(&self) -> usize {
-        self.tuples.len()
+        self.num_tuples
     }
 
-    /// The valid base (multiplicity-1) assignments as [`Assignment`]s, in
-    /// canonical order — used by the discovery-curve tracker. Returns an
-    /// empty list when the query has free slots (the valid set is then the
-    /// whole vocabulary and per-assignment tracking is meaningless).
-    ///
-    /// Memoized: the enumeration runs once per index; later calls (op-log
-    /// replay building a second `ValidTracker` over the same DAG) share
-    /// the same `Arc`.
-    pub fn valid_base_assignments(&self, vocab: &Vocabulary) -> Arc<Vec<Assignment>> {
-        if let Some(memo) = self.base_memo.borrow().as_ref() {
-            return Arc::clone(memo);
-        }
-        let built = Arc::new(self.build_base_assignments(vocab));
-        *self.base_memo.borrow_mut() = Some(Arc::clone(&built));
-        built
+    /// All valid constrained tuples, sorted, flattened row-major: tuple
+    /// `t` is `[t * k, (t + 1) * k)` for `k` constrained slots.
+    pub(crate) fn flat_tuples(&self) -> &[Value] {
+        &self.tuples
     }
 
-    fn build_base_assignments(&self, vocab: &Vocabulary) -> Vec<Assignment> {
-        if self.slots.iter().any(|s| s.free) {
-            return Vec::new();
-        }
-        let mut tuples: Vec<&Vec<Value>> = self.tuples.iter().collect();
-        tuples.sort();
-        tuples
-            .iter()
-            .map(|t| {
-                let mut values: Vec<Vec<Value>> = vec![Vec::new(); self.slots.len()];
-                for (ci, &si) in self.constrained.iter().enumerate() {
-                    values[si] = vec![t[ci]];
-                }
-                Assignment::new(vocab, values, Vec::new())
-            })
-            .collect()
+    /// Valid tuple `t` over the constrained slots.
+    fn tuple(&self, t: usize) -> &[Value] {
+        let k = self.constrained.len();
+        &self.tuples[t * k..(t + 1) * k]
     }
 
-    /// Dense key of a value: elems first, then rels.
-    fn value_key(&self, v: Value) -> usize {
-        match v {
-            Value::Elem(e) => e.index(),
-            Value::Rel(r) => self.num_elems + r.index(),
-        }
+    /// The tuples (increasing indices) whose constrained column `ci` holds
+    /// exactly `v`.
+    pub(crate) fn postings(&self, ci: usize, v: Value) -> &[u32] {
+        let key = value_key(self.num_elems, v);
+        // PANIC-OK: post_start has one row of key_space + 1 offsets per
+        // constrained column, and every value key is below key_space.
+        let (lo, hi) = (self.post_start[ci][key], self.post_start[ci][key + 1]);
+        // PANIC-OK: CSR offsets are prefix sums bounded by the list length.
+        &self.post_tuples[ci][lo as usize..hi as usize]
+    }
+
+    /// The posting lists of `v`'s descendants in constrained column `ci`:
+    /// together they list every tuple `t` with `v ≤ tuple(t)[ci]`, each
+    /// once.
+    pub(crate) fn cover_postings<'s>(
+        &'s self,
+        vocab: &'s Vocabulary,
+        ci: usize,
+        v: Value,
+    ) -> impl Iterator<Item = &'s [u32]> + 's {
+        let (elems, rels) = match v {
+            Value::Elem(e) => (Some(vocab.elem_descendants(e)), None),
+            Value::Rel(r) => (None, Some(vocab.rel_descendants(r))),
+        };
+        elems
+            .into_iter()
+            .flatten()
+            .map(Value::Elem)
+            .chain(rels.into_iter().flatten().map(Value::Rel))
+            .map(move |d| self.postings(ci, d))
     }
 
     /// Word offset into `cover_words` of the memoized cover bitset for
     /// constrained column `ci` and value `v`, building it on first use.
     /// The returned block is `self.stride` words long and immutable once
     /// built — callers re-borrow `cover_words` to read it.
+    ///
+    /// A tuple is covered iff its column value is a descendant of `v`, so
+    /// the bitset is the union of [`Self::cover_postings`].
     fn cover_offset(&self, vocab: &Vocabulary, ci: usize, v: Value) -> usize {
         debug_assert!(self.stride > 0, "admits bails out on an empty tuple set");
-        let key = self.value_key(v);
+        let key = value_key(self.num_elems, v);
         {
             let off = self.cover_off.borrow();
             // PANIC-OK: cover_off has one entry per constrained column.
@@ -269,11 +319,11 @@ impl ValidityIndex {
         let block = words.len() / self.stride;
         let base = words.len();
         words.resize(base + self.stride, 0);
-        for (t, tuple) in self.tuple_list.iter().enumerate() {
-            if value_leq(vocab, v, tuple[ci]) {
-                // PANIC-OK: the resize above added a full stride of words
-                // and t/64 < stride by construction.
-                words[base + t / 64] |= 1u64 << (t % 64);
+        for list in self.cover_postings(vocab, ci, v) {
+            for &t in list {
+                // PANIC-OK: posting entries are tuple indices, and
+                // t/64 < stride by construction.
+                words[base + t as usize / 64] |= 1u64 << (t % 64);
             }
         }
         drop(words);
@@ -301,7 +351,7 @@ impl ValidityIndex {
         if self.constrained.is_empty() {
             return true;
         }
-        let n = self.tuple_list.len();
+        let n = self.num_tuples;
         if n == 0 {
             return false;
         }
@@ -347,7 +397,7 @@ impl ValidityIndex {
                     if acc[t / 64] & (1u64 << (t % 64)) == 0 {
                         continue;
                     }
-                    let tuple = &self.tuple_list[t];
+                    let tuple = self.tuple(t);
                     let rest: Vec<Value> = tuple
                         .iter()
                         .enumerate()
@@ -366,7 +416,7 @@ impl ValidityIndex {
                 // general recursion over the surviving tuple subset
                 let live: HashSet<Vec<Value>> = (0..n)
                     .filter(|&t| acc[t / 64] & (1u64 << (t % 64)) != 0)
-                    .map(|t| self.tuple_list[t].clone())
+                    .map(|t| self.tuple(t).to_vec())
                     .collect();
                 self.admits_rec(vocab, a, 0, live)
             }
@@ -448,10 +498,9 @@ impl ValidityIndex {
             return Rc::clone(g);
         }
         let mut ids: HashMap<Vec<Value>, u32> = HashMap::new();
-        let group_of: Vec<u32> = self
-            .tuple_list
-            .iter()
-            .map(|tuple| {
+        let group_of: Vec<u32> = (0..self.num_tuples)
+            .map(|t| {
+                let tuple = self.tuple(t);
                 let rest: Vec<Value> = tuple
                     .iter()
                     .enumerate()
@@ -558,21 +607,15 @@ impl ValidityIndex {
 
     fn valid_rec(&self, a: &Assignment, ci: usize, choice: &mut Vec<Value>) -> bool {
         let Some(&si) = self.constrained.get(ci) else {
-            return self.tuples.contains(choice);
+            return self.contains(choice);
         };
         let values = a.slot(Slot(si as u16));
         if values.is_empty() {
             // multiplicity 0: the meta-facts vanish; validity requires the
-            // remaining slots to form valid tuples with *some* value here.
-            // Deterministic candidate order: hash-set iteration order
-            // must not decide which branch the existential search
-            // explores first (the result is the same either way, but
-            // the work done — and any future trace of it — would not
-            // be reproducible).
-            let mut seen: Vec<Value> = self.tuples.iter().map(|t| t[ci]).collect();
-            seen.sort_unstable();
-            seen.dedup();
-            for u in seen {
+            // remaining slots to form valid tuples with *some* value here,
+            // i.e. some value of this column — exactly the slot's universe
+            // (sorted, so the search order is deterministic)
+            for &u in &self.universes[si] {
                 choice.push(u);
                 let ok = self.valid_rec(a, ci + 1, choice);
                 choice.pop();
@@ -584,6 +627,20 @@ impl ValidityIndex {
         }
         // every value must participate: all cross tuples must be valid
         self.valid_product(a, ci, values, 0, choice)
+    }
+
+    /// Whether `t` is a valid tuple (binary search in the sorted list).
+    fn contains(&self, t: &[Value]) -> bool {
+        let (mut lo, mut hi) = (0, self.num_tuples);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.tuple(mid).cmp(t) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return true,
+            }
+        }
+        false
     }
 
     fn valid_product(
@@ -601,6 +658,15 @@ impl ValidityIndex {
         let ok = self.valid_rec(a, ci + 1, choice);
         choice.pop();
         ok && self.valid_product(a, ci, values, vi + 1, choice)
+    }
+}
+
+/// Dense key of a value: elems first, then rels (so key order is `Value`
+/// order).
+fn value_key(num_elems: usize, v: Value) -> usize {
+    match v {
+        Value::Elem(e) => e.index(),
+        Value::Rel(r) => num_elems + r.index(),
     }
 }
 
@@ -829,5 +895,294 @@ WITH SUPPORT = 0.2
         let f = v.fact("Rent Bikes", "doAt", "Boathouse").unwrap();
         let a = assign(&ont, "Central Park", &["Biking"]).with_more(v, f);
         assert!(idx.admits(v, &a));
+    }
+
+    // ---------- differential checks of the tuple list, postings and tracker ----------
+
+    use crate::dag::{Dag, NodeId};
+    use crate::vertical::ValidTracker;
+    use ontology::domains::{culinary, self_treatment, travel, DomainScale};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    /// The WHERE output projected onto the constrained slots, as a set —
+    /// the tuple set the index had before it kept one sorted list.
+    fn tuple_set(idx: &ValidityIndex, base: &[BaseAssignment]) -> HashSet<Vec<Value>> {
+        base.iter()
+            .filter_map(|b| {
+                idx.constrained
+                    .iter()
+                    .map(|&si| b.get(idx.slots[si].var))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The sorted tuple list and universes match the set they replace, and
+    /// every cover bitset (one per column and closure value) equals the
+    /// `value_leq` scan over all tuples.
+    fn check_index(vocab: &Vocabulary, idx: &ValidityIndex, base: &[BaseAssignment]) {
+        let set = tuple_set(idx, base);
+        let mut sorted: Vec<Vec<Value>> = set.iter().cloned().collect();
+        sorted.sort();
+        let list: Vec<Vec<Value>> = (0..idx.num_tuples())
+            .map(|t| idx.tuple(t).to_vec())
+            .collect();
+        assert_eq!(list, sorted, "tuple list");
+        for (ci, &si) in idx.constrained.iter().enumerate() {
+            let mut col: Vec<Value> = set.iter().map(|t| t[ci]).collect();
+            col.sort_unstable();
+            col.dedup();
+            assert_eq!(idx.universes[si], col, "universe of slot {si}");
+        }
+        if idx.num_tuples() == 0 {
+            return;
+        }
+        for (ci, &si) in idx.constrained.iter().enumerate() {
+            for &v in &idx.closures[si] {
+                let off = idx.cover_offset(vocab, ci, v);
+                let words = idx.cover_words.borrow();
+                let bits = &words[off..off + idx.stride];
+                for t in 0..idx.stride * 64 {
+                    let got = bits[t / 64] & (1u64 << (t % 64)) != 0;
+                    let want = t < idx.num_tuples() && value_leq(vocab, v, idx.tuple(t)[ci]);
+                    assert_eq!(got, want, "cover bit {t} of {v:?} in column {ci}");
+                }
+            }
+        }
+    }
+
+    /// Drives a [`ValidTracker`] through a seeded interleaving of
+    /// significant and insignificant witnesses and pruning clicks, and
+    /// checks its count after every step against the definition: base
+    /// `b` is classified once some significant witness `w` has `b ≤ w`,
+    /// some insignificant one has `w ≤ b`, or a pruning click on `e`
+    /// covers one of `b`'s values (`e ≤ v`). Bases are enumerated from
+    /// the WHERE output, independently of the index. Returns the final
+    /// count.
+    fn check_tracker(dag: &mut Dag<'_>, base: &[BaseAssignment], seed: u64, steps: usize) -> usize {
+        let vocab = dag.vocab();
+        let q = dag.query();
+        let free = dag.validity().slots().iter().any(|s| s.free);
+        let bases: Vec<Assignment> = if free {
+            Vec::new()
+        } else {
+            let set: BTreeSet<Assignment> = base
+                .iter()
+                .filter_map(|b| {
+                    let values: Option<Vec<Vec<Value>>> = q
+                        .sat_vars
+                        .iter()
+                        .map(|&v| b.get(v).map(|x| vec![x]))
+                        .collect();
+                    Some(Assignment::new(vocab, values?, Vec::new()))
+                })
+                .collect();
+            set.into_iter().collect()
+        };
+        // materialize a bounded, breadth-first part of the DAG to draw
+        // witnesses from
+        let mut cursor = 0;
+        while cursor < dag.len() && dag.len() < 400 {
+            dag.children(NodeId(cursor as u32));
+            cursor += 1;
+        }
+        let pool = if seed.is_multiple_of(2) {
+            minipool::Pool::sequential()
+        } else {
+            minipool::Pool::new(2)
+        };
+        let mut tracker = ValidTracker::new(dag).with_pool(pool);
+        assert_eq!(tracker.len(), bases.len(), "base count");
+        let mut classified = vec![false; bases.len()];
+        let mut total = 0;
+        let elems: Vec<ontology::ElemId> = vocab.elems().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for step in 0..steps {
+            let before = total;
+            let changed = match rng.gen_range(0..3) {
+                2 => {
+                    let e = elems[rng.gen_range(0..elems.len())];
+                    for (i, b) in bases.iter().enumerate() {
+                        let hit = (0..b.num_slots()).any(|si| {
+                            b.slot(Slot(si as u16))
+                                .iter()
+                                .any(|&v| value_leq(vocab, Value::Elem(e), v))
+                        });
+                        if hit && !classified[i] {
+                            classified[i] = true;
+                            total += 1;
+                        }
+                    }
+                    tracker.prune(dag, e)
+                }
+                kind => {
+                    if dag.is_empty() {
+                        continue;
+                    }
+                    let sig = kind == 0;
+                    let w = NodeId(rng.gen_range(0..dag.len()) as u32);
+                    let wa = &dag.node(w).assignment;
+                    for (i, b) in bases.iter().enumerate() {
+                        let hit = if sig {
+                            b.leq(vocab, wa)
+                        } else {
+                            wa.leq(vocab, b)
+                        };
+                        if hit && !classified[i] {
+                            classified[i] = true;
+                            total += 1;
+                        }
+                    }
+                    tracker.witness(dag, w, sig)
+                }
+            };
+            assert_eq!(
+                tracker.total_classified, total,
+                "classified count after step {step}"
+            );
+            assert_eq!(changed, total > before, "change flag after step {step}");
+        }
+        total
+    }
+
+    /// Runs both checks on one query; returns the tracker's final count.
+    fn check_query(ont: &ontology::Ontology, src: &str, seed: u64) -> usize {
+        let q = parse(src).unwrap();
+        let b = bind(&q, ont).unwrap();
+        let base = evaluate_where(&b, ont, MatchMode::Exact);
+        let mut dag = Dag::new(&b, ont.vocab(), &base);
+        check_index(ont.vocab(), dag.validity(), &base);
+        check_tracker(&mut dag, &base, seed, 40)
+    }
+
+    #[test]
+    fn indexes_match_their_definitions_on_the_paper_domains() {
+        let fig = figure1::ontology();
+        let free = "SELECT FACT-SETS WHERE SATISFYING $a+ $p $b WITH SUPPORT = 0.2";
+        let domains = [
+            travel(DomainScale::small()),
+            culinary(DomainScale::small()),
+            self_treatment(DomainScale::small()),
+        ];
+        for seed in 0..4 {
+            // free slots: no bases, nothing ever classified
+            assert_eq!(check_query(&fig, free, seed), 0);
+            let mut classified = check_query(&fig, figure1::SIMPLE_QUERY, seed);
+            classified += check_query(&fig, figure1::SAMPLE_QUERY, seed);
+            for d in &domains {
+                classified += check_query(&d.ontology, &d.query, seed);
+            }
+            assert!(classified > 0, "seed {seed} classified nothing");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn indexes_match_their_definitions_on_synthetic_domains(
+            width in 4usize..40,
+            depth in 2usize..6,
+            mult in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let d = if mult {
+                crate::synth::synthetic_domain_mult(width, depth, 0)
+            } else {
+                crate::synth::synthetic_domain(width, depth, 0)
+            };
+            check_query(&d.ontology, &d.query, seed);
+        }
+    }
+
+    /// Brute-force validity (Proposition 5.1 iterated): the slot counts
+    /// respect the multiplicities, and over the constrained slots in
+    /// order, every value of a non-empty slot — and some value of an
+    /// empty one — extends to a tuple of the WHERE output.
+    fn brute_valid(idx: &ValidityIndex, set: &HashSet<Vec<Value>>, a: &Assignment) -> bool {
+        fn rec(
+            idx: &ValidityIndex,
+            set: &HashSet<Vec<Value>>,
+            a: &Assignment,
+            t: &mut Vec<Value>,
+        ) -> bool {
+            let ci = t.len();
+            let Some(&si) = idx.constrained.get(ci) else {
+                return set.contains(t.as_slice());
+            };
+            let values = a.slot(Slot(si as u16));
+            let try_value = |v: Value, t: &mut Vec<Value>| {
+                t.push(v);
+                let ok = rec(idx, set, a, t);
+                t.pop();
+                ok
+            };
+            if values.is_empty() {
+                let col: BTreeSet<Value> = set.iter().map(|u| u[ci]).collect();
+                col.into_iter().any(|v| try_value(v, t))
+            } else {
+                values.iter().all(|&v| try_value(v, t))
+            }
+        }
+        idx.slots.iter().enumerate().all(|(si, s)| {
+            let n = a.slot(Slot(si as u16)).len();
+            n >= s.mult.min() && s.mult.max().is_none_or(|m| n <= m)
+        }) && rec(idx, set, a, &mut Vec::new())
+    }
+
+    #[test]
+    fn is_valid_with_an_empty_slot_matches_brute_force() {
+        // one product-shaped valid set (every activity at every
+        // attraction) and one that is not (each restaurant is near one
+        // attraction), so the empty slot's witness value matters
+        let nearby = r#"
+SELECT FACT-SETS
+WHERE
+  $x hasLabel "child-friendly".
+  $z nearBy $x
+SATISFYING
+  $z+ eatAt $x
+WITH SUPPORT = 0.2
+"#;
+        let ont = figure1::ontology();
+        let v = ont.vocab();
+        for (query, var) in [(figure1::SIMPLE_QUERY, "$y"), (nearby, "$z")] {
+            for mult in ["?", "*"] {
+                let src = query.replace(&format!("{var}+"), &format!("{var}{mult}"));
+                let q = parse(&src).unwrap();
+                let b = bind(&q, &ont).unwrap();
+                let base = evaluate_where(&b, &ont, MatchMode::Exact);
+                let idx = ValidityIndex::new(&b, v, &base);
+                let set = tuple_set(&idx, &base);
+                // slot 0 ($x): every closure value; slot 1: empty, every
+                // closure value, and pairs of concrete values
+                let uy = idx.universe(Slot(1)).to_vec();
+                let mut y_sets: Vec<Vec<Value>> = vec![Vec::new()];
+                y_sets.extend(idx.closure(Slot(1)).iter().map(|&y| vec![y]));
+                for (i, &p) in uy.iter().enumerate() {
+                    y_sets.extend(uy[i + 1..].iter().map(|&r| vec![p, r]));
+                }
+                let (mut valid, mut checked) = (0, 0);
+                for &x in idx.closure(Slot(0)) {
+                    for y in &y_sets {
+                        let a = Assignment::new(v, vec![vec![x], y.clone()], vec![]);
+                        let want = brute_valid(&idx, &set, &a);
+                        assert_eq!(idx.is_valid(&a), want, "{var}{mult}: {a:?}");
+                        valid += want as usize;
+                        checked += 1;
+                    }
+                }
+                assert!(valid > 0 && valid < checked);
+                // the empty-slot branch is exercised and not vacuous
+                let empty_at =
+                    |x: &str| Assignment::new(v, vec![vec![elem(&ont, x)], vec![]], vec![]);
+                assert!(idx.is_valid(&empty_at("Central Park")), "{var}{mult}");
+                assert!(idx.is_valid(&empty_at("Bronx Zoo")), "{var}{mult}");
+                assert!(!idx.is_valid(&empty_at("Madison Square")), "{var}{mult}");
+            }
+        }
     }
 }

@@ -163,35 +163,33 @@ pub struct MiningOutcome {
 /// Tracks how many *valid base* assignments are classified after each
 /// answer (the "classified assign." series of Figure 4d).
 ///
-/// Bases are indexed by the global fingerprint bits of their (singleton)
-/// slot values, so each witness touches only the bases it can actually
-/// classify instead of scanning all of them:
+/// The bases are the [`ValidityIndex`](crate::validity::ValidityIndex)'s
+/// sorted tuples — one concrete value per slot, no MORE facts — read in
+/// place: base `i` is tuple `i`, and the tracker itself holds only the
+/// classified flags. Candidates come from the index's per-column posting
+/// lists, so each witness touches only the bases it can actually classify
+/// instead of scanning all of them:
 ///
 /// * a significant witness `w` classifies bases `a ≤ w` — every value
-///   bit of `a` lies in `F(w)`, so walking the set bits of `F(w)` over
-///   the first-bit buckets enumerates all candidates exactly once;
+///   bit of `a` lies in `F(w)`, so the candidates are the bases whose
+///   slot-0 value has its bit in `F(w)`;
 /// * an insignificant witness classifies bases above it — candidates
 ///   are the bases holding a descendant of the witness value with the
 ///   smallest descendant cone;
 /// * a pruning click on `e` classifies bases holding a value in `e`'s
 ///   descendant cone, found the same way.
 ///
-/// The hit conditions are unchanged from the original scan, so the
-/// classified set (and the Figure-4d curve) is bit-identical.
+/// Every candidate is verified exactly, so the classified set (and the
+/// Figure-4d curve) is that of the definition: `w ≤ a` or `a ≤ w` by
+/// [`Assignment::leq`].
 pub(crate) struct ValidTracker {
-    assignments: std::sync::Arc<Vec<Assignment>>,
+    /// Number of valid bases: the index's tuples when every slot is
+    /// constrained (then slot `s` is tuple column `s`), else 0 — a free
+    /// slot ranges over the whole vocabulary and per-base tracking is
+    /// meaningless.
+    len: usize,
     classified: Vec<bool>,
     pub total_classified: usize,
-    /// Per-base value bits, one per non-empty slot (bases are singleton
-    /// per constrained slot, empty elsewhere).
-    base_bits: Vec<Vec<u32>>,
-    /// Bases with no values at all (≤ everything; classified by the
-    /// first significant witness).
-    empty_bases: Vec<u32>,
-    /// First value bit → bases whose first bit it is (each base once).
-    buckets_first: Vec<Vec<u32>>,
-    /// Any value bit → bases holding it (each base once per slot).
-    buckets_all: Vec<Vec<u32>>,
     /// Pool for sharded candidate verification (sequential by default).
     pool: minipool::Pool,
     /// Telemetry handle (off by default). Only counters and histograms
@@ -202,40 +200,16 @@ pub(crate) struct ValidTracker {
 
 impl ValidTracker {
     pub fn new(dag: &Dag<'_>) -> Self {
-        let assignments = dag.validity().valid_base_assignments(dag.vocab());
-        let space = dag.fp_space();
-        let nbits = space.words_per_node() * 64;
-        let mut base_bits = Vec::with_capacity(assignments.len());
-        let mut empty_bases = Vec::new();
-        let mut buckets_first = vec![Vec::new(); nbits];
-        let mut buckets_all = vec![Vec::new(); nbits];
-        for (i, a) in assignments.iter().enumerate() {
-            let mut bits: Vec<u32> = Vec::new();
-            for si in 0..a.num_slots() {
-                for &v in a.slot(crate::assignment::Slot(si as u16)) {
-                    let bit = space.value_bit(si, v);
-                    bits.push(bit as u32);
-                    // PANIC-OK: both bucket tables were sized to nbits
-                    // and every value bit is below words_per_node * 64.
-                    buckets_all[bit].push(i as u32);
-                }
-            }
-            match bits.first() {
-                // PANIC-OK: `b` is a value bit below nbits, as above.
-                Some(&b) => buckets_first[b as usize].push(i as u32),
-                None => empty_bases.push(i as u32),
-            }
-            base_bits.push(bits);
-        }
-        let classified = vec![false; assignments.len()];
+        let idx = dag.validity();
+        let len = if idx.slots().iter().any(|s| s.free) {
+            0
+        } else {
+            idx.num_tuples()
+        };
         ValidTracker {
-            assignments,
-            classified,
+            len,
+            classified: vec![false; len],
             total_classified: 0,
-            base_bits,
-            empty_bases,
-            buckets_first,
-            buckets_all,
             pool: minipool::Pool::sequential(),
             tele: telemetry::Telemetry::off(),
         }
@@ -258,8 +232,8 @@ impl ValidTracker {
 
     #[inline]
     fn mark(&mut self, i: usize) -> bool {
-        // PANIC-OK: callers pass base indices drawn from the bucket
-        // tables or 0..assignments.len(); classified has that length.
+        // PANIC-OK: callers pass base indices drawn from the index's
+        // posting lists or 0..len; classified has length len.
         if self.classified[i] {
             return false;
         }
@@ -269,67 +243,76 @@ impl ValidTracker {
         true
     }
 
+    /// Marks every unclassified candidate that passes `hit`, verifying
+    /// on the pool when it is wider than one thread; returns whether
+    /// anything newly classified.
+    fn mark_hits(&mut self, candidates: &[u32], hit: impl Fn(usize) -> bool + Sync) -> bool {
+        let mut changed = false;
+        if self.pool.threads() > 1 {
+            self.tele
+                .observe("minipool.shard_items", candidates.len() as u64);
+            let hits = self.pool.par_map(candidates, |&i| {
+                // PANIC-OK: candidates are base indices.
+                !self.classified[i as usize] && hit(i as usize)
+            });
+            for (&i, h) in candidates.iter().zip(hits) {
+                if h {
+                    changed |= self.mark(i as usize);
+                }
+            }
+        } else {
+            for &i in candidates {
+                // PANIC-OK: candidates are base indices.
+                if !self.classified[i as usize] && hit(i as usize) {
+                    changed |= self.mark(i as usize);
+                }
+            }
+        }
+        changed
+    }
+
     /// Updates after the node `w` became a significant (`sig=true`) or
     /// insignificant witness; returns whether anything newly classified.
     pub fn witness(&mut self, dag: &Dag<'_>, w: NodeId, sig: bool) -> bool {
         self.tele.count("validity.witness_checks", 1);
-        let mut changed = false;
+        if self.len == 0 {
+            return false;
+        }
+        let idx = dag.validity();
+        let space = dag.fp_space();
+        let arity = space.num_slots();
+        let tuples = idx.flat_tuples();
+        // PANIC-OK: base indices are below len = num_tuples, and the flat
+        // tuple array holds arity values per tuple.
+        let base = |i: usize| &tuples[i * arity..(i + 1) * arity];
         if sig {
             // bases a ≤ w: no MORE facts and singleton slots, so the
-            // condition is exactly "every base value bit is set in F(w)"
+            // condition is exactly "every base value bit is set in F(w)".
+            // Every base is a candidate exactly once, through its slot-0
+            // value.
+            if arity == 0 {
+                // the one valueless base is ≤ everything
+                return self.mark(0);
+            }
             let words = dag.fp_words(w);
-            if self.pool.threads() > 1 {
-                // Shard-and-merge: every base hits at most one first-bit
-                // bucket, so the candidate list is duplicate-free and the
-                // subset tests are independent pure reads; marks are
-                // applied afterwards in candidate order.
-                let mut candidates: Vec<u32> = Vec::new();
-                for bit in crate::fingerprint::iter_bits(words) {
+            let mut candidates: Vec<u32> = Vec::new();
+            for &v in idx.universe(crate::assignment::Slot(0)) {
+                if word_bit(words, space.value_bit(0, v)) {
                     candidates.extend(
-                        // PANIC-OK: iter_bits yields bits below nbits.
-                        self.buckets_first[bit]
+                        idx.postings(0, v)
                             .iter()
                             .copied()
-                            // PANIC-OK: bucket entries are base indices.
+                            // PANIC-OK: posting entries are base indices.
                             .filter(|&i| !self.classified[i as usize]),
                     );
                 }
-                self.tele
-                    .observe("minipool.shard_items", candidates.len() as u64);
-                let hits = self.pool.par_map(&candidates, |&i| {
-                    // PANIC-OK: candidates hold base indices, as above.
-                    self.base_bits[i as usize]
-                        .iter()
-                        .all(|&b| word_bit(words, b as usize))
-                });
-                for (&i, hit) in candidates.iter().zip(hits) {
-                    if hit {
-                        changed |= self.mark(i as usize);
-                    }
-                }
-            } else {
-                for bit in crate::fingerprint::iter_bits(words) {
-                    // PANIC-OK: iter_bits yields bits below nbits.
-                    for bi in 0..self.buckets_first[bit].len() {
-                        // PANIC-OK: `bit` and `bi` are loop-bounded.
-                        let i = self.buckets_first[bit][bi] as usize;
-                        // PANIC-OK: bucket entries are base indices.
-                        if !self.classified[i]
-                            // PANIC-OK: `i` is a base index, as above.
-                            && self.base_bits[i]
-                                .iter()
-                                .all(|&b| word_bit(words, b as usize))
-                        {
-                            changed |= self.mark(i);
-                        }
-                    }
-                }
             }
-            for bi in 0..self.empty_bases.len() {
-                // PANIC-OK: `bi` is loop-bounded by the length.
-                let i = self.empty_bases[bi] as usize;
-                changed |= self.mark(i);
-            }
+            self.mark_hits(&candidates, |i| {
+                base(i)
+                    .iter()
+                    .enumerate()
+                    .all(|(si, &v)| word_bit(words, space.value_bit(si, v)))
+            })
         } else {
             // bases a ≥ w: a has no MORE facts, so w must have none; each
             // witness value must generalize the base's value in its slot.
@@ -354,79 +337,52 @@ impl ValidTracker {
             }
             let Some((si, u, _)) = pick else {
                 // valueless witness without MORE facts is ≤ every base
-                for i in 0..self.assignments.len() {
+                let mut changed = false;
+                for i in 0..self.len {
                     changed |= self.mark(i);
                 }
                 return changed;
             };
-            let space = dag.fp_space();
-            let mut candidates: Vec<u32> = Vec::new();
-            match u {
-                oassis_ql::Value::Elem(e) => {
-                    for d in vocab.elem_descendants(e) {
-                        // PANIC-OK: elem_bit is below nbits by layout.
-                        candidates.extend_from_slice(&self.buckets_all[space.elem_bit(si, d)]);
-                    }
-                }
-                oassis_ql::Value::Rel(r) => {
-                    for d in vocab.rel_descendants(r) {
-                        // PANIC-OK: rel_bit is below nbits by layout.
-                        candidates.extend_from_slice(&self.buckets_all[space.rel_bit(si, d)]);
-                    }
-                }
-            }
-            if self.pool.threads() > 1 {
-                // `buckets_all` may list a base once per slot; duplicate
-                // candidates verify to the same verdict and `mark` is
-                // idempotent, so the classified set is unchanged.
-                self.tele
-                    .observe("minipool.shard_items", candidates.len() as u64);
-                let hits = self.pool.par_map(&candidates, |&i| {
-                    let i = i as usize;
-                    // PANIC-OK: bucket entries are base indices.
-                    !self.classified[i] && assignment.leq(vocab, &self.assignments[i])
-                });
-                for (&i, hit) in candidates.iter().zip(hits) {
-                    if hit {
-                        changed |= self.mark(i as usize);
-                    }
-                }
-            } else {
-                for i in candidates {
-                    let i = i as usize;
-                    // PANIC-OK: bucket entries are base indices.
-                    if !self.classified[i] && assignment.leq(vocab, &self.assignments[i]) {
-                        changed |= self.mark(i);
-                    }
-                }
-            }
+            let candidates: Vec<u32> = idx
+                .cover_postings(vocab, si, u)
+                .flatten()
+                .copied()
+                .collect();
+            // `Assignment::leq` against a singleton base without MORE
+            // facts: each slot's values all generalize the base's value
+            self.mark_hits(&candidates, |i| {
+                base(i).iter().enumerate().all(|(s, &b)| {
+                    assignment
+                        .slot(crate::assignment::Slot(s as u16))
+                        .iter()
+                        .all(|&v| crate::assignment::value_leq(vocab, v, b))
+                })
+            })
         }
-        changed
     }
 
     /// Updates after a pruning click: bases holding a value in the
     /// pruned element's descendant cone (in any slot) are classified.
     pub fn prune(&mut self, dag: &Dag<'_>, elem: ontology::ElemId) -> bool {
         self.tele.count("validity.prune_clicks", 1);
-        let space = dag.fp_space();
-        let vocab = dag.vocab();
+        if self.len == 0 {
+            return false;
+        }
+        let idx = dag.validity();
         let mut changed = false;
-        for d in vocab.elem_descendants(elem) {
-            for si in 0..space.num_slots() {
-                let bit = space.elem_bit(si, d);
-                // PANIC-OK: elem_bit is below nbits by layout.
-                for bi in 0..self.buckets_all[bit].len() {
-                    // PANIC-OK: `bit` and `bi` are loop-bounded.
-                    let i = self.buckets_all[bit][bi] as usize;
-                    changed |= self.mark(i);
-                }
+        for si in 0..idx.slots().len() {
+            for &i in idx
+                .cover_postings(dag.vocab(), si, oassis_ql::Value::Elem(elem))
+                .flatten()
+            {
+                changed |= self.mark(i as usize);
             }
         }
         changed
     }
 
     pub fn len(&self) -> usize {
-        self.assignments.len()
+        self.len
     }
 }
 

@@ -203,10 +203,14 @@ impl<T> Drop for TrackedGuard<'_, T> {
     }
 }
 
+// The tests that need the sanitizer armed compile under the same
+// condition as `TRACKING`: in an untracked build the recursive-lock test
+// would block forever on the plain `Mutex`.
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    #[cfg(any(debug_assertions, feature = "lockorder"))]
     #[test]
     fn consistent_order_is_silent_and_recorded() {
         let a = TrackedMutex::new("test.consistent.a", 1);
@@ -222,6 +226,7 @@ mod tests {
         );
     }
 
+    #[cfg(any(debug_assertions, feature = "lockorder"))]
     #[test]
     #[should_panic(expected = "lock-order inversion")]
     fn inversion_panics_on_the_second_order() {
@@ -235,6 +240,7 @@ mod tests {
         let _ga = a.lock().unwrap(); // inversion: b held, a→b already observed
     }
 
+    #[cfg(any(debug_assertions, feature = "lockorder"))]
     #[test]
     #[should_panic(expected = "recursive acquisition")]
     fn recursive_lock_panics() {
@@ -243,6 +249,7 @@ mod tests {
         let _g2 = a.lock().unwrap();
     }
 
+    #[cfg(any(debug_assertions, feature = "lockorder"))]
     #[test]
     #[should_panic(expected = "lock-order inversion")]
     fn longer_cycles_are_caught_transitively() {

@@ -66,6 +66,9 @@ fn sim_run_lock_orders_agree_with_the_static_analysis() {
     }
 }
 
+// Compiled only where the sanitizer is armed (`TRACKING`): debug builds,
+// or `--features lockorder`, which this package forwards to telemetry.
+#[cfg(any(debug_assertions, feature = "lockorder"))]
 #[test]
 #[should_panic(expected = "lock-order inversion")]
 fn dynamic_sanitizer_catches_the_planted_inversion() {
