@@ -448,7 +448,7 @@ fn incremental_section(e1_digest: Option<u64>) -> (Json, f64) {
     let bound = bind_domain(&domain);
     let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
-    let base = oassis_ql::evaluate_where_pool(&bound, &domain.ontology, MatchMode::Exact, &pool);
+    let base = oassis_ql::evaluate_where(&bound, &domain.ontology, MatchMode::Exact);
     let mut dag = Dag::new(&bound, domain.ontology.vocab(), &base);
     let crowd = domain_crowd(&domain, domain.ontology.vocab(), 248, 12, 7);
     let mut cache = oassis_core::CrowdCache::new();
@@ -521,7 +521,7 @@ fn cluster_section() -> (Json, bool) {
     let bound = bind_domain(&domain);
     let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
-    let base = oassis_ql::evaluate_where_pool(&bound, &domain.ontology, MatchMode::Exact, &pool);
+    let base = oassis_ql::evaluate_where(&bound, &domain.ontology, MatchMode::Exact);
     let mut dag = Dag::new(&bound, domain.ontology.vocab(), &base);
     let crowd = domain_crowd(&domain, domain.ontology.vocab(), 248, 12, 7);
     let mut cache = oassis_core::CrowdCache::new();

@@ -358,7 +358,7 @@ pub fn run_domain_at_batched(
     batch_width: usize,
     tele: &telemetry::Telemetry,
 ) -> DomainRun {
-    let base = oassis_ql::evaluate_where_pool(bound, ont, MatchMode::Exact, &pool);
+    let base = oassis_ql::evaluate_where(bound, ont, MatchMode::Exact);
     let mut dag = Dag::new(bound, ont.vocab(), &base);
     let crowd = domain_crowd(domain, ont.vocab(), members, habits, seed);
     let mut caching = oassis_core::CachingCrowd::new(crowd, cache);

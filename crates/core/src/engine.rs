@@ -26,7 +26,7 @@ use crate::rulemine::{run_rules, RuleMiningConfig, RuleOutcome};
 use crate::templates::QuestionTemplates;
 use crate::vertical::MiningConfig;
 use crowd::CrowdSource;
-use oassis_ql::{bind, evaluate_where_pool, parse, BoundQuery, MatchMode, OutputFormat, QlError};
+use oassis_ql::{bind, evaluate_where, parse, BoundQuery, MatchMode, OutputFormat, QlError};
 use ontology::Ontology;
 use std::path::PathBuf;
 
@@ -340,9 +340,9 @@ impl<'o> Oassis<'o> {
         self
     }
 
-    /// Installs a fork-join pool. Single queries use it for WHERE
-    /// evaluation; batch requests use it to run whole queries on parallel
-    /// threads. Answers are bit-identical at any pool width.
+    /// Installs a fork-join pool. Batch requests use it to run whole
+    /// queries on parallel threads (a single query mines with the pool of
+    /// its `MiningConfig`). Answers are bit-identical at any pool width.
     pub fn with_pool(mut self, pool: minipool::Pool) -> Self {
         self.pool = pool;
         self
@@ -509,7 +509,7 @@ impl<'o> Oassis<'o> {
         }
         let base = {
             let _s = tele.span("where_eval");
-            evaluate_where_pool(&bound, self.ont, self.match_mode, &self.pool)
+            evaluate_where(&bound, self.ont, self.match_mode)
         };
         let mut dag = {
             let _s = tele.span("dag_build");
@@ -614,7 +614,7 @@ impl<'o> Oassis<'o> {
         };
         let base = {
             let _s = tele.span("where_eval");
-            evaluate_where_pool(&bound, self.ont, self.match_mode, &self.pool)
+            evaluate_where(&bound, self.ont, self.match_mode)
         };
         let mut dag = {
             let _s = tele.span("dag_build");

@@ -9,6 +9,14 @@
 //! 2.5). [`MatchMode::Semantic`] implements that relaxation: a pattern fact
 //! matches an asserted fact whose components are specializations of the
 //! pattern's constants.
+//!
+//! Patterns that share no variable constrain disjoint parts of an
+//! assignment, so [`evaluate_where`] splits the clause into connected
+//! components (two patterns are connected when they share a variable,
+//! relation variables included), solves each component by backtracking on
+//! its own, and joins the component row sets by cross product.
+//! `$x subClassOf* X. $y subClassOf* Y` thus costs |X| + |Y| matches and
+//! one row per product element, not a |X| × |Y| backtracking search.
 
 use crate::bind::{BoundQuery, FactTerm, RelTerm, Value, VarId, WherePattern};
 use ontology::{ElemId, Ontology, RelId};
@@ -40,86 +48,131 @@ impl BaseAssignment {
     }
 }
 
-/// Evaluates the WHERE clause, returning the deduplicated valid base
-/// assignments. With an empty WHERE clause the result is a single,
+/// Evaluates the WHERE clause, returning the sorted, deduplicated valid
+/// base assignments. With an empty WHERE clause the result is a single,
 /// all-unbound assignment (the SATISFYING clause then ranges over the
 /// whole vocabulary, which is how OASSIS-QL captures classic frequent
 /// itemset mining — Section 4.1).
+///
+/// Each connected component of the pattern set is solved on its own and
+/// deduplicated; the result is the cross product of the component row
+/// sets (components bind disjoint variables, so each output row merges
+/// one row per component). A component without variables contributes one
+/// empty row when it matches and empties the result when it does not.
 pub fn evaluate_where(q: &BoundQuery, ont: &Ontology, mode: MatchMode) -> Vec<BaseAssignment> {
-    let mut ev = Evaluator {
-        q,
-        ont,
-        mode,
-        star_cache: HashMap::new(),
-        results: HashSet::new(),
-    };
-    let mut bindings: Vec<Option<Value>> = vec![None; q.vars.len()];
-    let mut remaining: Vec<usize> = (0..q.where_patterns.len()).collect();
-    ev.solve(&mut bindings, &mut remaining);
-    let mut out: Vec<BaseAssignment> = ev.results.into_iter().collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut ev = Evaluator::new(q, ont, mode);
+    let mut product: Option<Vec<BaseAssignment>> = None;
+    for comp in components(q) {
+        let rows = ev.solve_rows(comp.patterns);
+        if rows.is_empty() {
+            return Vec::new();
+        }
+        if comp.vars.is_empty() {
+            continue;
+        }
+        product = Some(match product {
+            None => rows,
+            Some(acc) => join(&acc, &rows, &comp.vars),
+        });
+    }
+    let mut out = product.unwrap_or_else(|| vec![BaseAssignment(vec![None; q.vars.len()])]);
+    // Components are joined in order of their smallest variable, so the
+    // product is already sorted whenever each component's variables follow
+    // the previous one's (the stress and synthetic queries); the sort then
+    // only confirms the run.
+    out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     out
 }
 
-/// [`evaluate_where`] fanned out across a [`minipool::Pool`].
-///
-/// The WHERE clause is exhaustive backtracking over an unordered pattern
-/// set, and the public result is the *sorted, deduplicated* assignment
-/// set — so parallelism cannot change it. We split on the seed pattern
-/// (the one the sequential solver would match first): each of its matches
-/// becomes an independent branch solved by a worker with its own
-/// [`Evaluator`] (star caches are per-worker, rebuilt on demand), and the
-/// branch results are unioned and sorted exactly like the sequential
-/// path. Runs inline — byte-for-byte the sequential algorithm — when the
-/// pool is sequential or there is at most one pattern.
-pub fn evaluate_where_pool(
-    q: &BoundQuery,
-    ont: &Ontology,
-    mode: MatchMode,
-    pool: &minipool::Pool,
-) -> Vec<BaseAssignment> {
-    if pool.threads() <= 1 || q.where_patterns.len() < 2 {
-        return evaluate_where(q, ont, mode);
-    }
-    let mut seed_ev = Evaluator {
-        q,
-        ont,
-        mode,
-        star_cache: HashMap::new(),
-        results: HashSet::new(),
+/// A connected component of the WHERE patterns: pattern indices in
+/// ascending order and the variables they mention, ascending.
+struct Component {
+    patterns: Vec<usize>,
+    vars: Vec<VarId>,
+}
+
+/// The variables a pattern mentions, relation variables included.
+fn pattern_vars(p: &WherePattern) -> impl Iterator<Item = VarId> {
+    let elem = |t: &FactTerm| match t {
+        FactTerm::Var(v) => Some(*v),
+        _ => None,
     };
-    let empty: Vec<Option<Value>> = vec![None; q.vars.len()];
-    // The same seed pattern the sequential solver picks first (fewest
-    // unbound variables; ties to the lowest index).
-    let pi0 = (0..q.where_patterns.len())
-        .min_by_key(|&pi| seed_ev.unbound_count(&q.where_patterns[pi], &empty))
-        .expect("at least two patterns");
-    // Matching the seed pattern with an empty `remaining` set records
-    // every post-match binding state into `results`: those states are the
-    // branch seeds.
-    let mut bindings = empty;
-    let mut no_remaining: Vec<usize> = Vec::new();
-    let pattern = q.where_patterns[pi0].clone();
-    seed_ev.match_pattern(&pattern, &mut bindings, &mut no_remaining);
-    let mut forks: Vec<BaseAssignment> = seed_ev.results.into_iter().collect();
-    forks.sort_by(|a, b| a.0.cmp(&b.0));
-    let rest: Vec<usize> = (0..q.where_patterns.len()).filter(|&i| i != pi0).collect();
-    let branch_sets: Vec<Vec<BaseAssignment>> = pool.par_map(&forks, |fork| {
-        let mut ev = Evaluator {
-            q,
-            ont,
-            mode,
-            star_cache: HashMap::new(),
-            results: HashSet::new(),
-        };
-        let mut b = fork.0.clone();
-        let mut rem = rest.clone();
-        ev.solve(&mut b, &mut rem);
-        ev.results.into_iter().collect()
-    });
-    let merged: HashSet<BaseAssignment> = branch_sets.into_iter().flatten().collect();
-    let mut out: Vec<BaseAssignment> = merged.into_iter().collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
+    let (s, r, o) = match p {
+        WherePattern::Label { s, .. } => (elem(s), None, None),
+        WherePattern::Triple { s, r, o, .. } => {
+            let r = match r {
+                RelTerm::Var(v) => Some(*v),
+                RelTerm::Const(_) => None,
+            };
+            (elem(s), r, elem(o))
+        }
+    };
+    [s, r, o].into_iter().flatten()
+}
+
+/// Splits the WHERE patterns into connected components with a union-find
+/// over pattern indices, ordered by smallest variable (variable-free
+/// components first, so a failing constant check ends evaluation early).
+fn components(q: &BoundQuery) -> Vec<Component> {
+    fn find(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let n = q.where_patterns.len();
+    let mut parent: Vec<usize> = (0..n).collect();
+    // The first pattern mentioning each variable; later ones join it.
+    let mut first_use: Vec<Option<usize>> = vec![None; q.vars.len()];
+    for (pi, p) in q.where_patterns.iter().enumerate() {
+        for v in pattern_vars(p) {
+            match first_use[v.index()] {
+                None => first_use[v.index()] = Some(pi),
+                Some(pj) => {
+                    let (a, b) = (find(&mut parent, pi), find(&mut parent, pj));
+                    parent[a] = b;
+                }
+            }
+        }
+    }
+    let mut comp_of_root: Vec<Option<usize>> = vec![None; n];
+    let mut comps: Vec<Component> = Vec::new();
+    for pi in 0..n {
+        let root = find(&mut parent, pi);
+        let c = *comp_of_root[root].get_or_insert_with(|| {
+            comps.push(Component {
+                patterns: Vec::new(),
+                vars: Vec::new(),
+            });
+            comps.len() - 1
+        });
+        comps[c].patterns.push(pi);
+    }
+    for (v, owner) in first_use.iter().enumerate() {
+        if let Some(pi) = *owner {
+            if let Some(c) = comp_of_root[find(&mut parent, pi)] {
+                comps[c].vars.push(VarId(v as u16));
+            }
+        }
+    }
+    comps.sort_by_key(|c| c.vars.first().copied());
+    comps
+}
+
+/// The cross product of `acc` with one more component's `rows`, which
+/// bind only `vars`.
+fn join(acc: &[BaseAssignment], rows: &[BaseAssignment], vars: &[VarId]) -> Vec<BaseAssignment> {
+    let mut out = Vec::with_capacity(acc.len() * rows.len());
+    for a in acc {
+        for r in rows {
+            let mut merged = a.0.clone();
+            for v in vars {
+                merged[v.index()] = r.0[v.index()];
+            }
+            out.push(BaseAssignment(merged));
+        }
+    }
     out
 }
 
@@ -129,24 +182,46 @@ struct Evaluator<'a> {
     mode: MatchMode,
     /// Per-relation star-path adjacency: `(rel, reversed)` → successors.
     star_cache: HashMap<(RelId, bool), HashMap<ElemId, Vec<ElemId>>>,
-    results: HashSet<BaseAssignment>,
+    /// Complete bindings found by the current [`Evaluator::solve_rows`].
+    results: Vec<BaseAssignment>,
 }
 
-impl Evaluator<'_> {
+impl<'a> Evaluator<'a> {
+    fn new(q: &'a BoundQuery, ont: &'a Ontology, mode: MatchMode) -> Self {
+        Evaluator {
+            q,
+            ont,
+            mode,
+            star_cache: HashMap::new(),
+            results: Vec::new(),
+        }
+    }
+
+    /// Every binding that satisfies all of `patterns` (variables outside
+    /// them stay `None`), sorted and deduplicated.
+    fn solve_rows(&mut self, mut patterns: Vec<usize>) -> Vec<BaseAssignment> {
+        let mut bindings: Vec<Option<Value>> = vec![None; self.q.vars.len()];
+        self.solve(&mut bindings, &mut patterns);
+        let mut rows = std::mem::take(&mut self.results);
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        rows.dedup();
+        rows
+    }
+
     fn solve(&mut self, bindings: &mut Vec<Option<Value>>, remaining: &mut Vec<usize>) {
         if remaining.is_empty() {
-            self.results.insert(BaseAssignment(bindings.clone()));
+            self.results.push(BaseAssignment(bindings.clone()));
             return;
         }
         // Pick the most-bound pattern next (fewest unbound variables).
+        let q = self.q;
         let (pos, _) = remaining
             .iter()
             .enumerate()
-            .min_by_key(|(_, &pi)| self.unbound_count(&self.q.where_patterns[pi], bindings))
+            .min_by_key(|(_, &pi)| self.unbound_count(&q.where_patterns[pi], bindings))
             .expect("remaining is non-empty");
         let pi = remaining.swap_remove(pos);
-        let pattern = self.q.where_patterns[pi].clone();
-        self.match_pattern(&pattern, bindings, remaining);
+        self.match_pattern(&q.where_patterns[pi], bindings, remaining);
         remaining.push(pi);
     }
 
@@ -283,8 +358,8 @@ impl Evaluator<'_> {
                 _ => None,
             };
             // Iterate asserted facts with this relation.
-            let facts: Vec<ontology::Fact> = self.ont.facts_with_rel(rel).to_vec();
-            for f in facts {
+            let ont = self.ont;
+            for f in ont.facts_with_rel(rel) {
                 let Some(sb) = self.accept_elem(s, f.subject, bindings) else {
                     continue;
                 };
@@ -624,24 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_evaluation_matches_sequential_at_every_width() {
-        let ont = figure1::ontology();
-        let q = parse(figure1::SAMPLE_QUERY).unwrap();
-        let b = bind(&q, &ont).unwrap();
-        for mode in [MatchMode::Exact, MatchMode::Semantic] {
-            let seq = evaluate_where(&b, &ont, mode);
-            for threads in [1usize, 2, 4, 8] {
-                let pool = minipool::Pool::new(threads);
-                assert_eq!(
-                    evaluate_where_pool(&b, &ont, mode, &pool),
-                    seq,
-                    "threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn label_filter_on_constant() {
         let (_, res, _) = eval(
             "SELECT FACT-SETS WHERE \"Central Park\" hasLabel \"child-friendly\" SATISFYING Biking doAt \"Central Park\" WITH SUPPORT = 0.2",
@@ -653,5 +710,177 @@ mod tests {
             MatchMode::Exact,
         );
         assert!(res2.is_empty());
+    }
+
+    /// The whole clause as one backtracking search, deduplicated and
+    /// sorted: the differential reference for [`evaluate_where`], which
+    /// must agree with it on every clause.
+    fn evaluate_where_reference(
+        q: &BoundQuery,
+        ont: &Ontology,
+        mode: MatchMode,
+    ) -> Vec<BaseAssignment> {
+        Evaluator::new(q, ont, mode).solve_rows((0..q.where_patterns.len()).collect())
+    }
+
+    /// Asserts that the factored evaluator equals the reference on `src`
+    /// in both match modes, and that its output is strictly sorted.
+    fn assert_matches_reference(src: &str, ont: &Ontology) -> Result<(), String> {
+        let b = bind(&parse(src).unwrap(), ont).unwrap();
+        for mode in [MatchMode::Exact, MatchMode::Semantic] {
+            let got = evaluate_where(&b, ont, mode);
+            let want = evaluate_where_reference(&b, ont, mode);
+            if got != want {
+                return Err(format!(
+                    "{mode:?}: {} rows, reference {} rows\n{src}",
+                    got.len(),
+                    want.len()
+                ));
+            }
+            if !got.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(format!("{mode:?}: output not strictly sorted\n{src}"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn factored_evaluation_matches_the_reference_on_chosen_clauses() {
+        let ont = figure1::ontology();
+        let sat = "SATISFYING $x doAt $y WITH SUPPORT = 0.2";
+        let clauses = [
+            // empty WHERE clause
+            "",
+            // constant-only patterns, true and false
+            "Basketball subClassOf* Activity. $x instanceOf Park",
+            "Basketball subClassOf* Food. $x instanceOf Park",
+            "\"Central Park\" hasLabel \"child-friendly\". $y subClassOf* Activity",
+            "\"Madison Square\" hasLabel \"child-friendly\". $y subClassOf* Activity",
+            // blanks
+            "$x nearBy []. $y subClassOf* Activity. [] inside NYC",
+            // a relation variable shared by two otherwise disjoint patterns
+            "$x $p \"Central Park\". [] $p $y. $a subClassOf* Activity",
+            // the same variable twice in one pattern
+            "$x subClassOf* $x. $y instanceOf $y",
+            "$x subClassOf* $x. $y subClassOf* Sport",
+            // a component with zero rows
+            "$x nearBy $x. $y subClassOf* Activity",
+            // three independent components
+            "$a subClassOf* Sport. $y instanceOf Zoo. $x inside NYC",
+            // components {$z, $a} and {$y}, whose product is not in row
+            // order ($z has two nearBy places), so the final sort matters
+            "$z instanceOf Restaurant. $y subClassOf* Sport. $z nearBy $a",
+        ];
+        for w in clauses {
+            assert_matches_reference(&format!("SELECT FACT-SETS WHERE {w} {sat}"), &ont).unwrap();
+        }
+        for src in [figure1::SAMPLE_QUERY, figure1::SIMPLE_QUERY] {
+            assert_matches_reference(src, &ont).unwrap();
+        }
+    }
+
+    /// One generated WHERE pattern: `(kind, subject, relation, object)`,
+    /// each term as `(kind, index)`. See [`render_where`].
+    type GenPattern = (usize, (usize, usize), usize, (usize, usize));
+
+    /// Renders generated patterns as WHERE-clause text over `ont`: term
+    /// kind 0–2 is one of `$x $y $a`, 3–4 a constant element, 5 a
+    /// blank;
+    /// pattern kind 0 is `hasLabel`, 1–4 a `*` path, 5 a relation
+    /// variable `$p`, otherwise a plain triple with a constant relation.
+    fn render_where(patterns: &[GenPattern], ont: &Ontology) -> String {
+        let v = ont.vocab();
+        let elems: Vec<&str> = v.elems().map(|e| v.elem_name(e)).collect();
+        let rels: Vec<&str> = v
+            .rels()
+            .map(|r| v.rel_name(r))
+            .filter(|&r| r != crate::bind::HAS_LABEL)
+            .collect();
+        let term = |(kind, i): (usize, usize)| match kind {
+            0..=2 => ["$x", "$y", "$a"][i % 3].to_owned(),
+            3 | 4 => format!("\"{}\"", elems[i % elems.len()]),
+            _ => "[]".to_owned(),
+        };
+        let text: Vec<String> = patterns
+            .iter()
+            .map(|&(kind, s, r, o)| {
+                let rel = rels[r % rels.len()];
+                match kind {
+                    0 => {
+                        let label = ["child-friendly", "no-such-label"][r % 2];
+                        format!("{} hasLabel \"{label}\"", term(s))
+                    }
+                    1..=4 => format!("{} {rel}* {}", term(s), term(o)),
+                    5 => format!("{} $p {}", term(s), term(o)),
+                    _ => format!("{} {rel} {}", term(s), term(o)),
+                }
+            })
+            .collect();
+        text.join(". ")
+    }
+
+    /// Drops trailing patterns until the reference search is small enough
+    /// to run: the product of each pattern's standalone match count bounds
+    /// the number of complete bindings the whole-clause search visits.
+    fn within_reference_budget(src: &str, ont: &Ontology) -> bool {
+        let b = bind(&parse(src).unwrap(), ont).unwrap();
+        let mut leaves = 1usize;
+        for pi in 0..b.where_patterns.len() {
+            let mut ev = Evaluator::new(&b, ont, MatchMode::Semantic);
+            let mut bindings = vec![None; b.vars.len()];
+            ev.solve(&mut bindings, &mut vec![pi]);
+            leaves = leaves.saturating_mul(ev.results.len().max(1));
+        }
+        leaves <= 200_000
+    }
+
+    fn gen_patterns() -> impl proptest::strategy::Strategy<Value = Vec<GenPattern>> {
+        let term = || (0usize..6, 0usize..512);
+        proptest::collection::vec((0usize..10, term(), 0usize..64, term()), 0..5)
+    }
+
+    /// The longest prefix of `patterns` whose clause (followed by `sat`,
+    /// which starts at `SATISFYING`) fits the reference budget.
+    fn budgeted_query(patterns: &[GenPattern], sat: &str, ont: &Ontology) -> String {
+        (0..=patterns.len())
+            .rev()
+            .map(|n| {
+                format!(
+                    "SELECT FACT-SETS WHERE {} {sat}",
+                    render_where(&patterns[..n], ont)
+                )
+            })
+            .find(|src| within_reference_budget(src, ont))
+            .expect("the empty clause fits")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(96))]
+
+        #[test]
+        fn factored_evaluation_matches_the_reference_on_figure_1(patterns in gen_patterns()) {
+            let ont = figure1::ontology();
+            let src = budgeted_query(&patterns, "SATISFYING $x doAt $y WITH SUPPORT = 0.2", &ont);
+            let verdict = assert_matches_reference(&src, &ont);
+            proptest::prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
+
+        #[test]
+        fn factored_evaluation_matches_the_reference_on_synthetic_domains(
+            patterns in gen_patterns(),
+            width in 2usize..8,
+            depth in 2usize..5,
+            mult in proptest::arbitrary::any::<bool>(),
+        ) {
+            let d = if mult {
+                oassis_core::synth::synthetic_domain_mult(width, depth, 0)
+            } else {
+                oassis_core::synth::synthetic_domain(width, depth, 0)
+            };
+            let sat = &d.query[d.query.find("SATISFYING").unwrap()..];
+            let src = budgeted_query(&patterns, sat, &d.ontology);
+            let verdict = assert_matches_reference(&src, &d.ontology);
+            proptest::prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
     }
 }

@@ -46,5 +46,5 @@ pub use ast::{
     Multiplicity, OutputFormat, Pred, Query, SatisfyingClause, SelectClause, Term, TriplePattern,
 };
 pub use bind::{bind, BoundQuery, FactTerm, MetaFact, RelTerm, Value, VarId, VarInfo};
-pub use eval::{evaluate_where, evaluate_where_pool, BaseAssignment, MatchMode};
+pub use eval::{evaluate_where, BaseAssignment, MatchMode};
 pub use parse::{parse, QlError};

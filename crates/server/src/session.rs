@@ -31,7 +31,7 @@ use oassis_core::{
     intern_wire_op, CrowdBinding, FixedSampleAggregator, MiningConfig, Oassis, OpLog, QueryRequest,
     SemanticOutcome, SharedCrowdCache,
 };
-use oassis_ql::{bind, evaluate_where_pool, parse, MatchMode};
+use oassis_ql::{bind, evaluate_where, parse, MatchMode};
 use ontology::Ontology;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -488,8 +488,7 @@ impl SessionManager {
     ) -> Result<RecoveredQuery, ServerError> {
         let q = parse(&meta.spec.src).map_err(|e| ServerError::Engine(e.to_string()))?;
         let bound = bind(&q, &self.ont).map_err(|e| ServerError::Engine(e.to_string()))?;
-        let pool = minipool::Pool::sequential();
-        let base = evaluate_where_pool(&bound, &self.ont, MatchMode::Exact, &pool);
+        let base = evaluate_where(&bound, &self.ont, MatchMode::Exact);
         let mut dag = oassis_core::Dag::new(&bound, self.ont.vocab(), &base);
         let ops: Vec<_> = wire.iter().map(|w| intern_wire_op(&mut dag, w)).collect();
         let threshold = match &meta.done {
@@ -503,7 +502,7 @@ impl SessionManager {
         let replay = log.replay_merged(
             &dag,
             &FixedSampleAggregator { sample_size: 1 },
-            &pool,
+            &minipool::Pool::sequential(),
             &Telemetry::off(),
         );
         let sem = SemanticOutcome::from_replay(&replay, &bound, self.ont.vocab());

@@ -16,12 +16,21 @@
 
 mod common;
 
-use common::{manager, spec, temp_root};
+use common::{manager, temp_root};
 use oassis_server::KillSwitch;
-use oassis_server::QuerySpec;
+use oassis_server::{QuerySpec, SessionSpec};
 use ontology::domains::figure1;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// The session spec every test session uses.
+fn spec(name: &str) -> SessionSpec {
+    SessionSpec {
+        name: name.to_string(),
+        seed: 7,
+        members: 2,
+    }
+}
 
 fn qspec() -> QuerySpec {
     QuerySpec {

@@ -21,7 +21,7 @@ use oassis_core::synth::{plant_msps, synthetic_domain, MspDistribution, PlantedO
 use oassis_core::{
     run_horizontal, run_multi, run_naive, run_vertical, Dag, FixedSampleAggregator, MiningConfig,
 };
-use oassis_ql::{bind, evaluate_where, evaluate_where_pool, parse, MatchMode};
+use oassis_ql::{bind, evaluate_where, parse, MatchMode};
 use ontology::domains::{culinary, self_treatment, travel, DomainScale};
 use simtest::permute::{
     domain_replay_digest, fig5_fold, fnv_usize, permutation_count, shuffled, FNV_OFFSET,
@@ -61,7 +61,7 @@ fn e_domain_permutations_reproduce_the_golden_digests() {
     for (name, domain, habits) in domains {
         let expected = golden(name);
         let bound = bind_domain(&domain);
-        let base = evaluate_where_pool(&bound, &domain.ontology, MatchMode::Exact, &pool);
+        let base = evaluate_where(&bound, &domain.ontology, MatchMode::Exact);
         let mut dag = Dag::new(&bound, domain.ontology.vocab(), &base);
         let crowd = domain_crowd(&domain, domain.ontology.vocab(), 248, habits, 7);
         let mut cache = oassis_core::CrowdCache::new();

@@ -1,9 +1,9 @@
 //! Determinism guarantee of the parallel mining engine: at **every** pool
 //! width, mining outcomes are bit-identical to the sequential engine.
 //!
-//! Every parallel phase is shard-and-merge over pure reads (WHERE fork
-//! solving, pruning-cone sweeps, witness verification, frozen final
-//! classification sweeps), merged in input order — so the thread count
+//! Every parallel phase is shard-and-merge over pure reads (pruning-cone
+//! sweeps, witness verification, frozen final classification sweeps),
+//! merged in input order — so the thread count
 //! must never leak into what the miner asks or concludes. These tests
 //! drive a domain workload and a Figure-5-style synthetic workload across
 //! pool widths {1, 2, 4, 8} and several seeds, comparing full outcome
